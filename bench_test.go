@@ -11,7 +11,6 @@ package soteria_test
 // paper's Fig. 3 describes.
 
 import (
-	"os"
 	"sync"
 	"testing"
 
@@ -265,7 +264,7 @@ func lintBenchOptions(b *testing.B) lint.RunOptions {
 	return lint.RunOptions{Root: root, Module: module, Tests: true, Patterns: []string{"./..."}}
 }
 
-func lintBenchIteration(b *testing.B, opts lint.RunOptions) *lint.RunResult {
+func lintBenchIteration(b *testing.B, opts lint.RunOptions) {
 	b.Helper()
 	res, err := lint.Run(opts)
 	if err != nil {
@@ -274,40 +273,16 @@ func lintBenchIteration(b *testing.B, opts lint.RunOptions) *lint.RunResult {
 	if len(res.Broken) > 0 {
 		b.Fatalf("repo does not type-check: %v", res.Broken[0].Err)
 	}
-	return res
 }
 
 // BenchmarkSoterialintCold measures a full load + type-check + fact
-// propagation + ten-analyzer pass over the whole module, cache bypassed.
+// propagation + nine-analyzer pass over the whole module.
 func BenchmarkSoterialintCold(b *testing.B) {
 	opts := lintBenchOptions(b)
-	opts.NoCache = true
 	lintBenchIteration(b, opts) // untimed: warm the OS file caches
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lintBenchIteration(b, opts)
-	}
-}
-
-// BenchmarkSoterialintWarm measures the steady-state re-lint an unchanged
-// tree pays: a snapshot check plus a cached-diagnostic replay. Setting
-// SOTERIALINT_BENCH_NOCACHE forces every iteration through the full
-// analysis instead, which is what the tool cost before the fact cache
-// existed — that mode records the baseline the warm numbers diff against.
-func BenchmarkSoterialintWarm(b *testing.B) {
-	opts := lintBenchOptions(b)
-	if os.Getenv("SOTERIALINT_BENCH_NOCACHE") != "" {
-		opts.NoCache = true
-	} else {
-		opts.CacheDir = b.TempDir()
-		lintBenchIteration(b, opts) // prime the cache
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := lintBenchIteration(b, opts)
-		if !opts.NoCache && !res.FromCache {
-			b.Fatal("warm iteration missed the cache")
-		}
 	}
 }
 

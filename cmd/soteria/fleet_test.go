@@ -61,7 +61,7 @@ func TestFleetProxyMatchesDirect(t *testing.T) {
 	}
 	var urls []string
 	for i := 0; i < 2; i++ {
-		r, err := spawnReplica(model.Bytes(), false, false, soteria.DefaultCacheMaxBytes)
+		r, err := spawnReplica(model.Bytes(), false, soteria.DefaultCacheMaxBytes)
 		if err != nil {
 			t.Fatalf("spawnReplica %d: %v", i, err)
 		}

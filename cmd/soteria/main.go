@@ -5,7 +5,7 @@
 // Usage:
 //
 //	soteria [-load model.json | -train-per-class N] [-save model.json] \
-//	        [-serve addr | -fleet addr -replicas N|url,...] [-fast] \
+//	        [-serve addr | -fleet addr -replicas N|url,...] \
 //	        [-cache-dir DIR | -no-cache] [-cache-max-bytes N] [-salt N] \
 //	        file.sotb [file2.sotb ...]
 //
@@ -33,8 +33,7 @@
 // later versions with zero downtime — POST a saved model to /models,
 // shadow-score it against live traffic (POST /models/{id}/shadow, gate
 // on the registry.shadow_* metrics), then POST /models/{id}/activate to
-// cut over. -fast applies to the startup model; admin-loaded versions
-// always serve the default bit-exact kernels.
+// cut over.
 //
 // -fleet starts the scale-out serving tier (DESIGN.md §11) instead: a
 // front door on addr that routes /analyze across replicas with
@@ -76,7 +75,6 @@ func run(args []string) error {
 	serveAddr := fs.String("serve", "", "serve /analyze, /metrics, /healthz, /debug/pprof on this address instead of analyzing files")
 	fleetAddr := fs.String("fleet", "", "serve a fleet front door on this address (requires -replicas)")
 	replicasSpec := fs.String("replicas", "", "fleet replicas: an integer N to spawn in-process, or comma-separated base URLs of running -serve processes")
-	fast := fs.Bool("fast", false, "relaxed-precision scoring (FMA kernels, fused softmax); scores within documented tolerance of the default bit-exact mode")
 	salt := fs.Int64("salt", 0, "walk-randomness salt applied to every analyzed file (content-stable, so repeat inputs share cache entries)")
 	cacheDir := fs.String("cache-dir", "", "persist the feature/verdict cache in this directory (default: in-memory only)")
 	cacheMaxBytes := fs.Int64("cache-max-bytes", soteria.DefaultCacheMaxBytes, "byte budget for the feature/verdict cache (LRU-evicted past it)")
@@ -202,19 +200,9 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "saved model to %s\n", *savePath)
 	}
 
-	// Fast mode is a scoring-only knob: it engages after training and
-	// persistence, so saved models and trained weights are always
-	// produced by the bit-exact kernels.
-	if *fast {
-		sys.SetFastScoring(true)
-		fmt.Fprintln(os.Stderr, "fast scoring enabled (relaxed-precision kernels)")
-	}
-
-	// The result cache attaches after persistence and the fast toggle:
-	// keys pin the final model fingerprint, and cached entries always
-	// come from whichever scoring mode is serving. Close flushes the
-	// record log; a degraded cache (I/O error mid-run) surfaces here
-	// rather than being lost.
+	// The result cache attaches after persistence, so keys pin the final
+	// model fingerprint. Close flushes the record log; a degraded cache
+	// (I/O error mid-run) surfaces here rather than being lost.
 	// Spawned fleet replicas attach their own per-replica caches, so the
 	// base system stays cacheless in that mode.
 	var cache *soteria.Cache
@@ -265,7 +253,7 @@ func run(args []string) error {
 		return serveSingle(*serveAddr, reg, mr)
 	}
 	if fleetN > 0 {
-		return serveFleetSpawn(*fleetAddr, fleetN, sys, *fast, *noCache, *cacheMaxBytes)
+		return serveFleetSpawn(*fleetAddr, fleetN, sys, *noCache, *cacheMaxBytes)
 	}
 
 	// Validate each file up front (so an unreadable or malformed file is

@@ -98,14 +98,11 @@ type replicaServer struct {
 // spawnReplica builds and starts one replica from the saved model
 // image. Each replica carries a full model registry, so fleet-wide
 // hot swaps are per-replica swaps fanned out by the front door.
-func spawnReplica(model []byte, fast, noCache bool, cacheMaxBytes int64) (*replicaServer, error) {
+func spawnReplica(model []byte, noCache bool, cacheMaxBytes int64) (*replicaServer, error) {
 	reg := soteria.NewRegistry()
 	sys, err := soteria.Load(bytes.NewReader(model))
 	if err != nil {
 		return nil, fmt.Errorf("replica model: %w", err)
-	}
-	if fast {
-		sys.SetFastScoring(true)
 	}
 	var cache *soteria.Cache
 	closeCache := func() {}
@@ -275,7 +272,7 @@ const maxModelUpload = 256 << 20
 // loopback listeners, fronted by a fleet.Frontdoor on addr. Shutdown
 // order on signal: front listener, door drain (in-flight proxied
 // requests finish), prober stop, then each replica.
-func serveFleetSpawn(addr string, n int, sys *soteria.System, fast, noCache bool, cacheMaxBytes int64) error {
+func serveFleetSpawn(addr string, n int, sys *soteria.System, noCache bool, cacheMaxBytes int64) error {
 	var model bytes.Buffer
 	if err := sys.Save(&model); err != nil {
 		return fmt.Errorf("snapshot model for replicas: %w", err)
@@ -291,7 +288,7 @@ func serveFleetSpawn(addr string, n int, sys *soteria.System, fast, noCache bool
 		}
 	}
 	for i := 0; i < n; i++ {
-		r, err := spawnReplica(model.Bytes(), fast, noCache, cacheMaxBytes)
+		r, err := spawnReplica(model.Bytes(), noCache, cacheMaxBytes)
 		if err != nil {
 			stopAll()
 			return fmt.Errorf("replica %d: %w", i, err)

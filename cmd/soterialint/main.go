@@ -1,16 +1,14 @@
 // Command soterialint runs the repository's invariant analyzers
 // (internal/lint) over module packages: determinism of model-affecting
 // code, internal/par pool discipline, checked errors on persistence
-// paths, gram-key construction kept behind the ngram API,
-// relaxed-precision fast mode contained to serving paths, sync-value
+// paths, gram-key construction kept behind the ngram API, sync-value
 // copy safety, and context propagation through the serving tier. It is
 // part of the full verify pipeline (see ROADMAP.md) and backs
 // lint_repo_test.go, which fails `go test ./...` on any new violation.
 //
 // Usage:
 //
-//	soterialint [-json] [-tests=true] [-analyzers a,b] [-facts]
-//	            [-no-cache] [-cache dir] [pattern ...]
+//	soterialint [-json] [-tests=true] [-analyzers a,b] [-facts] [pattern ...]
 //
 // Patterns are module-relative directories (./internal/core), trees
 // (./internal/...), or the whole module (./..., the default). Exit
@@ -18,13 +16,9 @@
 //
 // Analysis is interprocedural: a whole-repo call graph with
 // per-function summaries lets the analyzers follow wall-clock reads,
-// fast-mode toggles, discarded persistence errors, and dropped
-// contexts through wrapper functions. Results are memoized in an
-// on-disk fact cache (default <root>/.soterialint.cache) keyed by the
-// content hash of every analyzed directory, so an unchanged tree
-// re-lints without re-parsing anything; -no-cache bypasses it, -cache
-// relocates it, and -facts dumps the computed function summaries
-// instead of findings.
+// discarded persistence errors, and dropped contexts through wrapper
+// functions. -facts dumps the computed function summaries instead of
+// findings.
 //
 // Intentional exceptions are suppressed in place with
 // `//lint:ignore <analyzer> <reason>` on the offending line or the
@@ -82,8 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rootFlag  = fs.String("root", "", "module root (default: nearest go.mod above the working directory)")
 		modFlag   = fs.String("module", "", "module path (default: read from go.mod)")
 		facts     = fs.Bool("facts", false, "dump per-function summaries instead of findings")
-		noCache   = fs.Bool("no-cache", false, "skip the fact cache entirely (no read, no write)")
-		cacheDir  = fs.String("cache", "", "fact cache directory (default: <root>/.soterialint.cache)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -122,19 +114,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			module = foundMod
 		}
 	}
-	cache := *cacheDir
-	if cache == "" {
-		cache = filepath.Join(root, ".soterialint.cache")
-	}
-
 	res, err := lint.Run(lint.RunOptions{
 		Root:      root,
 		Module:    module,
 		Tests:     *tests,
 		Patterns:  fs.Args(),
 		Analyzers: suite,
-		CacheDir:  cache,
-		NoCache:   *noCache,
 		WantFacts: *facts,
 	})
 	if err != nil {

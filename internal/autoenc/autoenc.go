@@ -434,7 +434,7 @@ func TrainGrouped(x *nn.Matrix, groups []int, cfg Config) (*Detector, error) {
 	for i, r := range calibRows {
 		copy(calibX.Row(i), z.Row(r))
 	}
-	rowRE := nn.RMSE(net.PredictExact(calibX), calibX)
+	rowRE := nn.RMSE(net.PredictInto(nil, calibX), calibX)
 	sums := make(map[int]float64)
 	counts := make(map[int]int)
 	var order []int
@@ -649,16 +649,6 @@ func (d *Detector) DetectBatch(x *nn.Matrix) []bool {
 
 // Network exposes the underlying autoencoder (for persistence).
 func (d *Detector) Network() *nn.Network { return d.net }
-
-// SetFastInference toggles the relaxed-precision scoring kernels for
-// this detector's reconstruction passes. A runtime-only knob: it is
-// never part of State, so a persisted detector always restores with
-// fast mode off, and training is unaffected (the trainer's forward
-// pass ignores the flag).
-func (d *Detector) SetFastInference(on bool) { d.net.SetFastInference(on) }
-
-// FastInference reports whether relaxed-precision scoring is enabled.
-func (d *Detector) FastInference() bool { return d.net.FastInference() }
 
 // Config returns the detector's effective (filled) configuration.
 func (d *Detector) Config() Config { return d.cfg }

@@ -181,15 +181,6 @@ func (c *Classifier) Config() Config { return c.cfg }
 // Network exposes the underlying network (for persistence).
 func (c *Classifier) Network() *nn.Network { return c.net }
 
-// SetFastInference toggles the relaxed-precision inference kernels for
-// this classifier's forward passes. Runtime-only: Config carries no
-// fast field, so persisted classifiers always restore with fast mode
-// off, and training never consults the flag.
-func (c *Classifier) SetFastInference(on bool) { c.net.SetFastInference(on) }
-
-// FastInference reports whether relaxed-precision inference is enabled.
-func (c *Classifier) FastInference() bool { return c.net.FastInference() }
-
 // Restore rebuilds a classifier from persisted weights.
 func Restore(cfg Config, weights []float64) (*Classifier, error) {
 	if err := cfg.fill(); err != nil {

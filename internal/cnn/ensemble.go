@@ -40,36 +40,6 @@ func (e *Ensemble) getScratch() *voteScratch {
 	return new(voteScratch)
 }
 
-// SetFastInference toggles the relaxed-precision inference kernels for
-// both member classifiers and switches voting to the fast softmax
-// (one division per row instead of one per probability). Runtime-only
-// and never persisted; call before serving, not concurrently with
-// Vote/VoteBatch.
-func (e *Ensemble) SetFastInference(on bool) {
-	if e.DBL != nil {
-		e.DBL.SetFastInference(on)
-	}
-	if e.LBL != nil {
-		e.LBL.SetFastInference(on)
-	}
-}
-
-// FastInference reports whether relaxed-precision voting is enabled.
-func (e *Ensemble) FastInference() bool {
-	return e.DBL != nil && e.DBL.FastInference()
-}
-
-// softmax applies the ensemble's current softmax variant: the exact
-// per-element-division form by default, the reciprocal-multiply form
-// when fast inference is on (m is the member whose logits y holds).
-func softmax(m *Classifier, y *nn.Matrix) {
-	if m.FastInference() {
-		nn.SoftmaxInPlaceFast(y)
-	} else {
-		nn.SoftmaxInPlace(y)
-	}
-}
-
 // ensureMat resizes *m to rows x cols, reusing the backing storage
 // when possible. Contents are unspecified.
 func ensureMat(m **nn.Matrix, rows, cols int) *nn.Matrix {
@@ -158,7 +128,7 @@ func (e *Ensemble) tallyRows(s *voteScratch, m *Classifier, walks [][]float64, v
 		copy(x.Row(i), r)
 	}
 	m.net.PredictApply(x, func(y *nn.Matrix) {
-		softmax(m, y)
+		nn.SoftmaxInPlace(y)
 		tallyProbs(y, 0, y.Rows, votes, mass)
 	})
 }
@@ -250,7 +220,7 @@ func (e *Ensemble) tallyBatch(m *Classifier, x *nn.Matrix, wps, classes int, vot
 		return
 	}
 	m.net.PredictApply(x, func(y *nn.Matrix) {
-		softmax(m, y)
+		nn.SoftmaxInPlace(y)
 		for smp := 0; smp*wps < y.Rows; smp++ {
 			lo := smp * wps
 			tallyProbs(y, lo, lo+wps,

@@ -1,7 +1,7 @@
 // Serving-path benchmarks: the scoring stage of AnalyzeBatch (detector
 // reconstruction errors + ensemble votes over a pre-extracted corpus),
-// its opt-in fast-mode twin, the end-to-end batch analyze path, and the
-// content-addressed cache's hit path and repeat-rate throughput.
+// the end-to-end batch analyze path, and the content-addressed cache's
+// hit path and repeat-rate throughput.
 // Recorded per PR as BENCH_<n>.json — most recently BENCH_7.json
 // (result cache) against BENCH_7_BASELINE.json via
 //
@@ -120,27 +120,6 @@ func fillBenchChunk(p *Pipeline, c *chunkBuf, vecs []*features.Vectors) {
 // exactly the work AnalyzeBatch performs after extraction.
 func BenchmarkAnalyzeBatch(b *testing.B) {
 	p, _, vecs := benchEnv(b)
-	c := p.getChunk()
-	fillBenchChunk(p, c, vecs)
-	out := make([]*Decision, len(vecs))
-	errs := make([]error, len(vecs))
-	b.ResetTimer()
-	for it := 0; it < b.N; it++ {
-		p.scoreChunk(c, out, errs, nil)
-	}
-	b.ReportMetric(float64(len(vecs))*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
-}
-
-// BenchmarkAnalyzeBatchFast is BenchmarkAnalyzeBatch with the opt-in
-// relaxed-precision scoring mode enabled (FMA micro-kernel, fused
-// softmax, zero-quad skipping), so BENCH_<n>.json records both modes
-// side by side. The flag is restored afterwards: benchEnv's pipeline is
-// shared across benchmarks and the others measure the default
-// bit-exact mode.
-func BenchmarkAnalyzeBatchFast(b *testing.B) {
-	p, _, vecs := benchEnv(b)
-	p.SetFastScoring(true)
-	defer p.SetFastScoring(false)
 	c := p.getChunk()
 	fillBenchChunk(p, c, vecs)
 	out := make([]*Decision, len(vecs))

@@ -681,23 +681,6 @@ func (p *Pipeline) disassembleAll(bins [][]byte, idx []int) ([]*disasm.CFG, erro
 // Options returns the training options.
 func (p *Pipeline) Options() Options { return p.opts }
 
-// SetFastScoring toggles the opt-in relaxed-precision scoring mode for
-// the whole pipeline: the detector's reconstruction passes and both
-// ensemble members switch to the FMA micro-kernels, relaxed zero-quad
-// skipping, and the reciprocal-multiply softmax. Decisions stay within
-// the tolerance documented in DESIGN.md §7 of the default bit-exact
-// path. This is a runtime serving knob, deliberately not an Options
-// field: Options is persisted with the model, and fast mode must never
-// survive a Save/Load round trip or leak into training. Toggle before
-// serving traffic, not concurrently with Analyze calls.
-func (p *Pipeline) SetFastScoring(on bool) {
-	p.Detector.SetFastInference(on)
-	p.Ensemble.SetFastInference(on)
-}
-
-// FastScoring reports whether relaxed-precision scoring is enabled.
-func (p *Pipeline) FastScoring() bool { return p.Detector.FastInference() }
-
 func fillFrom(opts, def Options) Options {
 	if opts.Features.TopK == 0 {
 		opts.Features = def.Features

@@ -21,10 +21,6 @@ const (
 	// FactReadsGlobalRand: the function (or a callee) draws from the
 	// unseeded global math/rand source.
 	FactReadsGlobalRand
-	// FactTouchesFastToggle: the function (or a callee) calls a
-	// fast-mode toggle/query or enables a fast-mode flag field.
-	// Assignments of the literal false (forcing exact mode) are exempt.
-	FactTouchesFastToggle
 	// FactForwardsPersistError: the function returns an error that may
 	// originate from a persist-family call (Save/Load/Encode/Close/…),
 	// directly or through callees that themselves forward one.
@@ -44,7 +40,7 @@ const (
 // FactForwardsPersistError propagates only into callers that return an
 // error themselves; FactReceivesContext never propagates.
 const propagatedFacts = FactReadsClock | FactReadsGlobalRand |
-	FactTouchesFastToggle | FactCallsBareContext | FactAcquiresLock
+	FactCallsBareContext | FactAcquiresLock
 
 var factNames = []struct {
 	f    Fact
@@ -52,7 +48,6 @@ var factNames = []struct {
 }{
 	{FactReadsClock, "reads-clock"},
 	{FactReadsGlobalRand, "reads-global-rand"},
-	{FactTouchesFastToggle, "touches-fast-toggle"},
 	{FactForwardsPersistError, "forwards-persist-error"},
 	{FactCallsBareContext, "calls-bare-context"},
 	{FactAcquiresLock, "acquires-lock"},

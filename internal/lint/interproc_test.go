@@ -19,7 +19,6 @@ func TestInterprocRegression(t *testing.T) {
 		dir      string
 	}{
 		{DeterminismAnalyzer, filepath.Join("testdata", "determinism", "interproc")},
-		{FastMathAnalyzer, filepath.Join("testdata", "fastmath", "interproc")},
 		{PersistErrAnalyzer, filepath.Join("testdata", "persisterr", "interproc")},
 		{CtxFlowAnalyzer, filepath.Join("testdata", "ctxflow", "interproc")},
 	}

@@ -23,7 +23,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -91,7 +90,6 @@ func All() []*Analyzer {
 		HotAllocAnalyzer,
 		BatchMissAnalyzer,
 		ObsHotAnalyzer,
-		FastMathAnalyzer,
 		LockSafeAnalyzer,
 		CtxFlowAnalyzer,
 	}
@@ -131,7 +129,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // RunPackageFacts is RunPackage with a whole-repo fact store attached
-// to every pass, enabling the interprocedural rules. Run (factcache.go)
+// to every pass, enabling the interprocedural rules. Run (run.go)
 // computes facts once across all loaded packages and calls this per
 // package.
 func RunPackageFacts(pkg *Package, analyzers []*Analyzer, facts *Facts) []Diagnostic {
@@ -151,19 +149,7 @@ func RunPackageFacts(pkg *Package, analyzers []*Analyzer, facts *Facts) []Diagno
 	}
 	sup, bad := suppressions(pkg)
 	diags = append(filterSuppressed(diags, sup), bad...)
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
-	})
+	sortDiagnostics(diags)
 	return diags
 }
 

@@ -142,18 +142,6 @@ func (c *Counter) Inc() {
 	c.v++
 }
 `)
-	write("internal/cnn/fastbad.go", `package cnn
-
-type net struct{ fastInfer bool }
-
-func (n *net) SetFastInference(on bool) { n.fastInfer = on }
-
-type Classifier struct{ net *net }
-
-func Train(c *Classifier) {
-	c.net.SetFastInference(true)
-}
-`)
 	write("internal/core/lockbad.go", `package core
 
 import "sync"

@@ -340,7 +340,7 @@ func (l *Loader) LoadFile(file, asPath string) (*Package, error) {
 // relative to the module root and loads every matching package
 // directory in deterministic order.
 func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
-	dirs, err := MatchDirs(l.Root, patterns)
+	dirs, err := matchDirs(l.Root, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -355,11 +355,9 @@ func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
 	return out, nil
 }
 
-// MatchDirs resolves ./dir, ./dir/..., and ./... patterns relative to
-// root into the sorted list of package directories they denote, without
-// parsing anything — the fact cache uses it to fingerprint a run's
-// inputs before deciding whether loading is needed at all.
-func MatchDirs(root string, patterns []string) ([]string, error) {
+// matchDirs resolves ./dir, ./dir/..., and ./... patterns relative to
+// root into the sorted list of package directories they denote.
+func matchDirs(root string, patterns []string) ([]string, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}

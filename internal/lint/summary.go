@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 )
 
@@ -11,37 +10,10 @@ import (
 // function literals are included: conservatively, defining a literal
 // that does X means the enclosing function may reach X.
 func summarizeBody(pkg *Package, body ast.Node, n *funcNode) {
-	info := pkg.Info
 	sanctioned := n.pkg == obsPath // observability boundary: clock reads allowed
 	ast.Inspect(body, func(node ast.Node) bool {
-		switch node := node.(type) {
-		case *ast.CallExpr:
-			summarizeCall(pkg, node, n, sanctioned)
-		case *ast.AssignStmt:
-			for i, lhs := range node.Lhs {
-				name := ""
-				switch e := lhs.(type) {
-				case *ast.SelectorExpr:
-					name = e.Sel.Name
-				case *ast.Ident:
-					// Only persistent state counts: a local variable
-					// named fast (e.g. snapshotting ws.fast) flips
-					// nothing that outlives the call.
-					if obj := info.ObjectOf(e); obj != nil && obj.Parent() == pkg.Types.Scope() {
-						name = e.Name
-					}
-				}
-				if name == "" || !fastFieldName(name) {
-					continue
-				}
-				// Forcing exact mode (assigning the literal false) is
-				// always safe and deliberately not a fact: it is how
-				// exact-only paths shield themselves.
-				if i < len(node.Rhs) && isFalseLiteral(info, node.Rhs[i]) {
-					continue
-				}
-				n.facts |= FactTouchesFastToggle
-			}
+		if call, ok := node.(*ast.CallExpr); ok {
+			summarizeCall(pkg, call, n, sanctioned)
 		}
 		return true
 	})
@@ -74,9 +46,6 @@ func summarizeCall(pkg *Package, call *ast.CallExpr, n *funcNode, sanctioned boo
 	}
 
 	name := calleeName(call)
-	if fastToggleName(name) {
-		n.facts |= FactTouchesFastToggle
-	}
 	if n.returnsError && persistFamily(name) {
 		if sig, ok := info.TypeOf(call.Fun).(*types.Signature); ok && returnsError(sig) {
 			exempt := false
@@ -123,13 +92,4 @@ func isLockAcquire(fn *types.Func) bool {
 	}
 	named, ok := t.(*types.Named)
 	return ok && (named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex")
-}
-
-// isFalseLiteral reports whether expr is the constant false.
-func isFalseLiteral(info *types.Info, expr ast.Expr) bool {
-	tv, ok := info.Types[expr]
-	if !ok || tv.Value == nil {
-		return false
-	}
-	return tv.Value.Kind() == constant.Bool && !constant.BoolVal(tv.Value)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"soteria/internal/par"
 )
@@ -84,7 +85,7 @@ func (c *Conv1D) Forward(x *Matrix, train bool) *Matrix {
 
 	out := ensure(&c.out, x.Rows, outLen*c.OutCh)
 	c.prodHdr = Matrix{Rows: x.Rows * outLen, Cols: c.OutCh, Data: out.Data}
-	gemm(&c.prodHdr, cols, c.Weight.W, false, false, false, c.Bias.W.Data, false, false)
+	gemm(&c.prodHdr, cols, c.Weight.W, false, false, false, c.Bias.W.Data, false)
 	return out
 }
 
@@ -111,29 +112,49 @@ func (c *Conv1D) inferFused(x *Matrix, ws *Arena, relu bool) *Matrix {
 	k := c.Kernel * c.InCh
 	n := c.OutCh
 	out := ws.take(x.Rows, outLen*n)
-	fast := ws.fast
-	// The serial branch calls inferRows directly (no closure) so
-	// steady-state inference stays allocation-free; only the parallel
-	// split pays for its closure, mirroring gemm.
+	// Both branches allocate nothing, mirroring gemm: the serial one
+	// calls inferRows directly, and the sharded one hands the pool a
+	// pooled task whose body was bound once (see convTask).
+	t := convTask{c: c, out: out, x: x, relu: relu}
 	perRow := outLen * k * n
 	if work := x.Rows * perRow; work < parallelThreshold || x.Rows < 2 || par.Workers() == 1 {
-		c.inferRows(out, x, 0, x.Rows, relu, fast)
+		t.inferRows(0, x.Rows)
 	} else {
 		grain := parallelThreshold / perRow
 		if grain < 1 {
 			grain = 1
 		}
-		par.ForChunkedGrain(x.Rows, grain, func(blo, bhi int) {
-			c.inferRows(out, x, blo, bhi, relu, fast)
-		})
+		pt := convTaskPool.Get().(*convTask)
+		t.body = pt.body
+		*pt = t
+		par.ForChunkedGrain(x.Rows, grain, pt.body)
+		*pt = convTask{body: pt.body} // drop the layer and matrix references
+		convTaskPool.Put(pt)
 	}
 	return out
 }
 
+// convTask is one inference convolution's operands, handed to the
+// worker pool as the method value body — bound once per pooled task,
+// so sharding does not allocate a closure per call (see gemmTask).
+type convTask struct {
+	c      *Conv1D
+	out, x *Matrix
+	relu   bool
+	body   func(blo, bhi int)
+}
+
+var convTaskPool = sync.Pool{New: func() any {
+	t := new(convTask)
+	t.body = t.inferRows
+	return t
+}}
+
 // inferRows runs the register-blocked panel kernel over batch rows
 // [blo, bhi), one A-panel per input row (bit-identical to the blocked
 // kernel — see gemmPanels).
-func (c *Conv1D) inferRows(out, x *Matrix, blo, bhi int, relu, fast bool) {
+func (t *convTask) inferRows(blo, bhi int) {
+	c, out, x := t.c, t.out, t.x
 	outLen := c.OutLen()
 	k := c.Kernel * c.InCh
 	n := c.OutCh
@@ -142,7 +163,7 @@ func (c *Conv1D) inferRows(out, x *Matrix, blo, bhi int, relu, fast bool) {
 	for b := blo; b < bhi; b++ {
 		dstRow := out.Data[b*outLen*n : (b+1)*outLen*n]
 		srcRow := x.Data[b*x.Cols : (b+1)*x.Cols]
-		gemmPanels(dstRow, n, srcRow, lda, w, n, 0, outLen, k, n, bias, relu, fast)
+		gemmPanels(dstRow, n, srcRow, lda, w, n, 0, outLen, k, n, bias, t.relu)
 	}
 }
 

@@ -89,7 +89,7 @@ func (c *Conv2D) Forward(x *Matrix, train bool) *Matrix {
 
 	out := ensure(&c.out, x.Rows, oh*ow*c.OutCh)
 	c.prodHdr = Matrix{Rows: x.Rows * oh * ow, Cols: c.OutCh, Data: out.Data}
-	gemm(&c.prodHdr, cols, c.Weight.W, false, false, false, c.Bias.W.Data, false, false)
+	gemm(&c.prodHdr, cols, c.Weight.W, false, false, false, c.Bias.W.Data, false)
 	return out
 }
 
@@ -100,7 +100,7 @@ func (c *Conv2D) infer(x *Matrix, ws *Arena) *Matrix {
 	c.im2col(cols, x)
 	out := ws.take(x.Rows, oh*ow*c.OutCh)
 	prod := Matrix{Rows: x.Rows * oh * ow, Cols: c.OutCh, Data: out.Data}
-	gemm(&prod, cols, c.Weight.W, false, false, false, c.Bias.W.Data, false, ws.fast)
+	gemm(&prod, cols, c.Weight.W, false, false, false, c.Bias.W.Data, false)
 	return out
 }
 

@@ -60,19 +60,11 @@ import (
 //     (see gemmPanels).
 //
 //   - Vector micro-kernel. On amd64 with AVX the inner loops run in
-//     assembly (gemm_amd64.s). The default kernels use separate
-//     multiply and add instructions — never FMA — and lanes map to
-//     adjacent output elements, so every element sees the exact scalar
-//     operation sequence and results are bit-identical to the Go loops
-//     (and across machines). Without AVX the scalar loops below run
-//     instead.
-//
-//   - Opt-in fast mode. Every kernel entry point takes a fast flag;
-//     when set (and the CPU has FMA) the quad and panel kernels switch
-//     to fused multiply-add accumulation with a relaxed denormal skip.
-//     Fast mode is NOT bit-identical — it is tolerance-tested, reached
-//     only through explicit SetFastInference-style opt-ins, and the
-//     fastmath analyzer keeps it out of training and persistence.
+//     assembly (gemm_amd64.s). The kernels use separate multiply and
+//     add instructions — never FMA — and lanes map to adjacent output
+//     elements, so every element sees the exact scalar operation
+//     sequence and results are bit-identical to the Go loops (and
+//     across machines). Without AVX the scalar loops below run instead.
 //
 // Parallelism splits output rows only (each row's dot products are
 // computed entirely by one worker), with a grain that keeps every
@@ -80,7 +72,7 @@ import (
 // boundaries come from par.ForChunkedGrain and depend only on the row
 // count, the grain, and the worker count — each row range is statically
 // owned by exactly one worker, so sharded results are byte-identical to
-// a serial run in both modes.
+// a serial run.
 const (
 	// gemmColBlock columns of the destination (and B panel) per tile:
 	// a 4 KiB destination row segment.
@@ -183,15 +175,12 @@ func gemmGrain(k, n int) int {
 // the result. dst must already have the product's shape and must not
 // alias a or b. bias (len N) and relu are ignored when acc is set.
 //
-// fast selects the opt-in relaxed-precision kernels (FMA accumulation,
-// relaxed zero skipping) when the CPU supports them; default-mode
-// callers pass false and get the bit-exact kernels. Sharding is
-// identical in both modes: the M dimension is split into deterministic,
-// statically owned row ranges (chunk boundaries depend only on m,
-// grain, and worker count — see par.ForChunkedGrain), and each output
-// row is computed entirely by one worker in one canonical k-order, so
-// results never depend on scheduling.
-func gemm(dst, a, b *Matrix, aT, bT, acc bool, bias []float64, relu, fast bool) {
+// Sharding splits the M dimension into deterministic, statically owned
+// row ranges (chunk boundaries depend only on m, grain, and worker
+// count — see par.ForChunkedGrain), and each output row is computed
+// entirely by one worker in one canonical k-order, so results never
+// depend on scheduling.
+func gemm(dst, a, b *Matrix, aT, bT, acc bool, bias []float64, relu bool) {
 	m, k, n := gemmDims(a, b, aT, bT)
 	if dst.Rows != m || dst.Cols != n {
 		panic(fmt.Sprintf("nn: MatMulInto dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, m, n))
@@ -224,30 +213,23 @@ func gemm(dst, a, b *Matrix, aT, bT, acc bool, bias []float64, relu, fast bool) 
 		bData, ldb = s, n
 	}
 
-	// Narrow non-accumulating products take the register-blocked panel
-	// kernels (bit-identical to the blocked machinery — see gemmPanels
-	// and gemmNarrowMax); everything else — wide products and every
-	// accumulation (dst += a@b, the backward pass) — runs the blocked
-	// quad kernel.
-	//
-	// The serial branch calls the kernel directly (no closure) so small
-	// products — batch-1 inference in particular — allocate nothing.
-	panels := !acc && n <= gemmNarrowMax
+	// Both branches allocate nothing: the serial one calls the kernel
+	// directly, and the sharded one hands the pool a pooled task whose
+	// row body was bound once (see gemmTask).
+	t := gemmTask{
+		dst: dst.Data, a: aData, b: bData, bias: bias,
+		lda: lda, ldb: ldb, k: k, n: n,
+		acc: acc, relu: relu, panels: !acc && n <= gemmNarrowMax,
+	}
 	if work := m * k * n; work < parallelThreshold || m < 2 || par.Workers() == 1 {
-		if panels {
-			gemmPanels(dst.Data, n, aData, lda, bData, ldb, 0, m, k, n, bias, relu, fast)
-		} else {
-			gemmKernel(dst.Data, n, aData, lda, bData, ldb, 0, m, k, n, acc, bias, relu, fast)
-		}
+		t.rows(0, m)
 	} else {
-		dd := dst.Data
-		par.ForChunkedGrain(m, gemmGrain(k, n), func(rlo, rhi int) {
-			if panels {
-				gemmPanels(dd, n, aData, lda, bData, ldb, rlo, rhi, k, n, bias, relu, fast)
-			} else {
-				gemmKernel(dd, n, aData, lda, bData, ldb, rlo, rhi, k, n, acc, bias, relu, fast)
-			}
-		})
+		pt := gemmTaskPool.Get().(*gemmTask)
+		t.body = pt.body
+		*pt = t
+		par.ForChunkedGrain(m, gemmGrain(k, n), pt.body)
+		*pt = gemmTask{body: pt.body} // drop the operand references
+		gemmTaskPool.Put(pt)
 	}
 
 	if scratchA != nil {
@@ -255,6 +237,37 @@ func gemm(dst, a, b *Matrix, aT, bT, acc bool, bias []float64, relu, fast bool) 
 	}
 	if scratchB != nil {
 		putF64(scratchB)
+	}
+}
+
+// gemmTask is one product's operands, handed to the worker pool as the
+// method value body. A closure over the operands would escape through
+// the pool's job and cost a heap allocation on every sharded product;
+// binding body once per pooled task instead keeps sharded inference
+// allocation-free in steady state.
+type gemmTask struct {
+	dst, a, b, bias   []float64
+	lda, ldb, k, n    int
+	acc, relu, panels bool
+	body              func(rlo, rhi int)
+}
+
+var gemmTaskPool = sync.Pool{New: func() any {
+	t := new(gemmTask)
+	t.body = t.rows
+	return t
+}}
+
+// rows computes destination rows [rlo, rhi). Narrow non-accumulating
+// products take the register-blocked panel kernels (bit-identical to
+// the blocked machinery — see gemmPanels and gemmNarrowMax); everything
+// else — wide products and every accumulation (dst += a@b, the
+// backward pass) — runs the blocked quad kernel.
+func (t *gemmTask) rows(rlo, rhi int) {
+	if t.panels {
+		gemmPanels(t.dst, t.n, t.a, t.lda, t.b, t.ldb, rlo, rhi, t.k, t.n, t.bias, t.relu)
+	} else {
+		gemmKernel(t.dst, t.n, t.a, t.lda, t.b, t.ldb, rlo, rhi, t.k, t.n, t.acc, t.bias, t.relu)
 	}
 }
 
@@ -288,7 +301,7 @@ func gemmInit(dst []float64, ldd, rlo, rhi int, acc bool, bias []float64, relu b
 // the blocking, initialization, and epilogues described at the top of
 // the file. Rows are processed in pairs so each loaded B segment is
 // shared between two accumulator rows.
-func gemmKernel(dst []float64, ldd int, a []float64, lda int, b []float64, ldb int, rlo, rhi, k, n int, acc bool, bias []float64, relu, fast bool) {
+func gemmKernel(dst []float64, ldd int, a []float64, lda int, b []float64, ldb int, rlo, rhi, k, n int, acc bool, bias []float64, relu bool) {
 	for jc := 0; jc < n; jc += gemmColBlock {
 		je := jc + gemmColBlock
 		if je > n {
@@ -301,10 +314,10 @@ func gemmKernel(dst []float64, ldd int, a []float64, lda int, b []float64, ldb i
 			}
 			i := rlo
 			for ; i+2 <= rhi; i += 2 {
-				gemmRowPair(dst, ldd, a, lda, b, ldb, i, jc, je, kc, ke, k, acc, bias, relu, fast)
+				gemmRowPair(dst, ldd, a, lda, b, ldb, i, jc, je, kc, ke, k, acc, bias, relu)
 			}
 			if i < rhi {
-				gemmRow(dst, ldd, a, lda, b, ldb, i, jc, je, kc, ke, k, acc, bias, relu, fast)
+				gemmRow(dst, ldd, a, lda, b, ldb, i, jc, je, kc, ke, k, acc, bias, relu)
 			}
 		}
 	}
@@ -339,7 +352,7 @@ func gemmRowReLU(drow []float64) {
 
 // gemmRow accumulates the k-block [kc, ke) into the column tile
 // [jc, je) of destination row i.
-func gemmRow(dst []float64, ldd int, a []float64, lda int, b []float64, ldb int, i, jc, je, kc, ke, k int, acc bool, bias []float64, relu, fast bool) {
+func gemmRow(dst []float64, ldd int, a []float64, lda int, b []float64, ldb int, i, jc, je, kc, ke, k int, acc bool, bias []float64, relu bool) {
 	arow := a[i*lda : i*lda+k]
 	drow := dst[i*ldd+jc : i*ldd+je]
 	if kc == 0 && !acc {
@@ -361,11 +374,7 @@ func gemmRow(dst []float64, ldd int, a []float64, lda int, b []float64, ldb int,
 		b3 = b3[:len(drow)]
 		if useAVX {
 			av := [4]float64{a0, a1, a2, a3}
-			if fast && useFMA {
-				rowQuadFMA(&drow[0], &b0[0], &b1[0], &b2[0], &b3[0], len(drow), &av)
-			} else {
-				rowQuadAVX(&drow[0], &b0[0], &b1[0], &b2[0], &b3[0], len(drow), &av)
-			}
+			rowQuadAVX(&drow[0], &b0[0], &b1[0], &b2[0], &b3[0], len(drow), &av)
 			continue
 		}
 		for z := range drow {
@@ -393,7 +402,7 @@ func gemmRow(dst []float64, ldd int, a []float64, lda int, b []float64, ldb int,
 // element update is the same expression, in the same k order, as
 // gemmRow's — pairing only changes how many times a B segment is
 // loaded, never what is added to which element.
-func gemmRowPair(dst []float64, ldd int, a []float64, lda int, b []float64, ldb int, i, jc, je, kc, ke, k int, acc bool, bias []float64, relu, fast bool) {
+func gemmRowPair(dst []float64, ldd int, a []float64, lda int, b []float64, ldb int, i, jc, je, kc, ke, k int, acc bool, bias []float64, relu bool) {
 	arow0 := a[i*lda : i*lda+k]
 	arow1 := a[(i+1)*lda : (i+1)*lda+k]
 	d0 := dst[i*ldd+jc : i*ldd+je]
@@ -424,11 +433,7 @@ func gemmRowPair(dst []float64, ldd int, a []float64, lda int, b []float64, ldb 
 		case live0 && live1:
 			if useAVX {
 				av := [8]float64{a00, a01, a02, a03, a10, a11, a12, a13}
-				if fast && useFMA {
-					pairQuadFMA(&d0[0], &d1[0], &b0[0], &b1[0], &b2[0], &b3[0], len(d0), &av)
-				} else {
-					pairQuadAVX(&d0[0], &d1[0], &b0[0], &b1[0], &b2[0], &b3[0], len(d0), &av)
-				}
+				pairQuadAVX(&d0[0], &d1[0], &b0[0], &b1[0], &b2[0], &b3[0], len(d0), &av)
 				continue
 			}
 			for z := range d0 {
@@ -439,11 +444,7 @@ func gemmRowPair(dst []float64, ldd int, a []float64, lda int, b []float64, ldb 
 		case live0:
 			if useAVX {
 				av := [4]float64{a00, a01, a02, a03}
-				if fast && useFMA {
-					rowQuadFMA(&d0[0], &b0[0], &b1[0], &b2[0], &b3[0], len(d0), &av)
-				} else {
-					rowQuadAVX(&d0[0], &b0[0], &b1[0], &b2[0], &b3[0], len(d0), &av)
-				}
+				rowQuadAVX(&d0[0], &b0[0], &b1[0], &b2[0], &b3[0], len(d0), &av)
 				continue
 			}
 			for z := range d0 {
@@ -452,11 +453,7 @@ func gemmRowPair(dst []float64, ldd int, a []float64, lda int, b []float64, ldb 
 		default:
 			if useAVX {
 				av := [4]float64{a10, a11, a12, a13}
-				if fast && useFMA {
-					rowQuadFMA(&d1[0], &b0[0], &b1[0], &b2[0], &b3[0], len(d1), &av)
-				} else {
-					rowQuadAVX(&d1[0], &b0[0], &b1[0], &b2[0], &b3[0], len(d1), &av)
-				}
+				rowQuadAVX(&d1[0], &b0[0], &b1[0], &b2[0], &b3[0], len(d1), &av)
 				continue
 			}
 			for z := range d1 {
@@ -497,38 +494,33 @@ func gemmRowPair(dst []float64, ldd int, a []float64, lda int, b []float64, ldb 
 // gemmPanels computes rows [rlo, rhi) of dst = a @ b (+ bias, ReLU),
 // the non-accumulating kernel behind every inference and forward-pass
 // product. Column tiles of 8 and then 4 go through the fully fused
-// panel kernels (panelTile8AVX / panelTile4AVX, or their FMA forms in
-// fast mode), which seed the tile from the bias, sweep the ENTIRE k
-// dimension — quads plus the k%4 single terms — and apply the ReLU
-// clamp while the tile stays in registers: one store per tile row, no
-// separate seed, remainder, or epilogue passes over memory, and no
-// per-k-quad destination traffic at all (the blocked quad kernel
-// re-reads and re-writes each destination segment once per quad).
-// Only a sub-4-column leftover (n % 4) and the no-AVX build fall
-// through to the blocked machinery.
+// panel kernels (panelTile8AVX / panelTile4AVX), which seed the tile
+// from the bias, sweep the ENTIRE k dimension — quads plus the k%4
+// single terms — and apply the ReLU clamp while the tile stays in
+// registers: one store per tile row, no separate seed, remainder, or
+// epilogue passes over memory, and no per-k-quad destination traffic
+// at all (the blocked quad kernel re-reads and re-writes each
+// destination segment once per quad). Only a sub-4-column leftover
+// (n % 4) and the no-AVX build fall through to the blocked machinery.
 //
-// Bit-identity with gemmKernel (default mode): element (i, j) starts
-// from the same bias seed and accumulates the same quad-grouped terms
-// in the same ascending-k order with the same all-four-zero quad skip,
-// then the same zero-skipped scalar remainder, then the same
-// comparison-only ReLU. Holding the accumulator in a register instead
+// Bit-identity with gemmKernel: element (i, j) starts from the same
+// bias seed and accumulates the same quad-grouped terms in the same
+// ascending-k order with the same all-four-zero quad skip, then the
+// same zero-skipped scalar remainder, then the same comparison-only
+// ReLU. Holding the accumulator in a register instead
 // of memory does not change any IEEE-754 operation, gemmKernel's
 // k-blocking cannot regroup quads (gemmKBlock is a multiple of 4, so
 // quad boundaries fall on the same offsets, and singles only occur
 // after the last full quad), and its column tiling and row pairing
 // never change what is added to which element — so the two paths
 // produce byte-identical output.
-func gemmPanels(dst []float64, ldd int, a []float64, lda int, b []float64, ldb int, rlo, rhi, k, n int, bias []float64, relu, fast bool) {
+func gemmPanels(dst []float64, ldd int, a []float64, lda int, b []float64, ldb int, rlo, rhi, k, n int, bias []float64, relu bool) {
 	if rhi <= rlo || n <= 0 {
 		return
 	}
 	if !useAVX || k <= 0 {
-		gemmKernel(dst, ldd, a, lda, b, ldb, rlo, rhi, k, n, false, bias, relu, fast)
+		gemmKernel(dst, ldd, a, lda, b, ldb, rlo, rhi, k, n, false, bias, relu)
 		return
-	}
-	tile8, tile4 := panelTile8AVX, panelTile4AVX
-	if fast && useFMA {
-		tile8, tile4 = panelTile8FMA, panelTile4FMA
 	}
 	reluFlag := 0
 	if relu {
@@ -538,10 +530,10 @@ func gemmPanels(dst []float64, ldd int, a []float64, lda int, b []float64, ldb i
 	d0, a0 := rlo*ldd, rlo*lda
 	j := 0
 	for ; j+8 <= n; j += 8 {
-		tile8(&dst[d0+j], ldd, &a[a0], lda, &b[j], ldb, rows, k, biasAt(bias, j), reluFlag)
+		panelTile8AVX(&dst[d0+j], ldd, &a[a0], lda, &b[j], ldb, rows, k, biasAt(bias, j), reluFlag)
 	}
 	if n-j >= 4 {
-		tile4(&dst[d0+j], ldd, &a[a0], lda, &b[j], ldb, rows, k, biasAt(bias, j), reluFlag)
+		panelTile4AVX(&dst[d0+j], ldd, &a[a0], lda, &b[j], ldb, rows, k, biasAt(bias, j), reluFlag)
 		j += 4
 	}
 	if j < n {
@@ -549,7 +541,7 @@ func gemmPanels(dst []float64, ldd int, a []float64, lda int, b []float64, ldb i
 		if bias != nil {
 			tailBias = bias[j:]
 		}
-		gemmKernel(dst[j:], ldd, a, lda, b[j:], ldb, rlo, rhi, k, n-j, false, tailBias, relu, fast)
+		gemmKernel(dst[j:], ldd, a, lda, b[j:], ldb, rlo, rhi, k, n-j, false, tailBias, relu)
 	}
 }
 
@@ -572,7 +564,7 @@ func sameSlice(a, b []float64) bool {
 // loops always stream contiguous memory; see the file comment for the
 // kernel design.
 func MatMulInto(dst, a, b *Matrix, aT, bT bool) *Matrix {
-	gemm(dst, a, b, aT, bT, false, nil, false, false)
+	gemm(dst, a, b, aT, bT, false, nil, false)
 	return dst
 }
 
@@ -581,7 +573,7 @@ func MatMulInto(dst, a, b *Matrix, aT, bT bool) *Matrix {
 // must already have the product's shape and must not alias either
 // operand. It returns dst.
 func MatMulAddInto(dst, a, b *Matrix, aT, bT bool) *Matrix {
-	gemm(dst, a, b, aT, bT, true, nil, false, false)
+	gemm(dst, a, b, aT, bT, true, nil, false)
 	return dst
 }
 
@@ -590,6 +582,6 @@ func MatMulAddInto(dst, a, b *Matrix, aT, bT bool) *Matrix {
 func MatMul(a, b *Matrix, aT, bT bool) *Matrix {
 	m, _, n := gemmDims(a, b, aT, bT)
 	out := NewMatrix(m, n)
-	gemm(out, a, b, aT, bT, false, nil, false, false)
+	gemm(out, a, b, aT, bT, false, nil, false)
 	return out
 }

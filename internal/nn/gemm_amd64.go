@@ -11,20 +11,9 @@ package nn
 // therefore across machines.
 var useAVX = cpuHasAVX()
 
-// useFMA gates the opt-in fast-mode kernels (pairQuadFMA, rowQuadFMA,
-// panelTile8FMA, panelTile4FMA). FMA accumulation rounds once per term
-// instead of twice, so fast-mode results are NOT bit-identical to the
-// default kernels — they are covered by tolerance tests, reached only
-// when a caller explicitly passes fast=true through gemm, and kept out
-// of training and persistence by the fastmath analyzer.
-var useFMA = cpuHasFMA()
-
 // cpuHasAVX reports whether the CPU and OS support AVX (CPUID feature
 // flag plus XGETBV confirmation that the OS preserves YMM state).
 func cpuHasAVX() bool
-
-// cpuHasFMA reports whether the CPU supports FMA3 on top of AVX.
-func cpuHasFMA() bool
 
 // pairQuadAVX accumulates four B rows into two destination rows:
 //
@@ -44,17 +33,6 @@ func pairQuadAVX(d0, d1, b0, b1, b2, b3 *float64, n int, a *[8]float64)
 //go:noescape
 func rowQuadAVX(d, b0, b1, b2, b3 *float64, n int, a *[4]float64)
 
-// pairQuadFMA and rowQuadFMA are the fast-mode forms of the quad
-// kernels: each term is folded into the destination with one fused
-// multiply-add (one rounding instead of two), so results differ from
-// the exact kernels by a few ulps per term.
-//
-//go:noescape
-func pairQuadFMA(d0, d1, b0, b1, b2, b3 *float64, n int, a *[8]float64)
-
-//go:noescape
-func rowQuadFMA(d, b0, b1, b2, b3 *float64, n int, a *[4]float64)
-
 // panelTile8AVX is the fully fused narrow-panel kernel for one 8-wide
 // column tile: for each of rows destination rows (row stride ldd) it
 // seeds d[0:8] from bias (zero when bias is nil), accumulates all k
@@ -73,17 +51,6 @@ func panelTile8AVX(d *float64, ldd int, a *float64, lda int, b *float64, ldb int
 //
 //go:noescape
 func panelTile4AVX(d *float64, ldd int, a *float64, lda int, b *float64, ldb int, rows, k int, bias *float64, relu int)
-
-// panelTile8FMA and panelTile4FMA are the fast-mode panel kernels: FMA
-// accumulation straight into the register tile, plus a relaxed skip
-// that also drops quads/singles whose coefficients are all denormal
-// (|a| < 2^-1022).
-//
-//go:noescape
-func panelTile8FMA(d *float64, ldd int, a *float64, lda int, b *float64, ldb int, rows, k int, bias *float64, relu int)
-
-//go:noescape
-func panelTile4FMA(d *float64, ldd int, a *float64, lda int, b *float64, ldb int, rows, k int, bias *float64, relu int)
 
 // reluAVX clamps d[0:n] in place: d[z] = max(+0, d[z]), which returns
 // the input for -0, NaN, and ties — exactly the scalar "if v < 0"

@@ -1,36 +1,14 @@
 // AVX micro-kernels for the blocked GEMM in gemm.go.
 //
-// Determinism contract (default mode): every output element receives
-// exactly the same sequence of IEEE-754 operations as the scalar Go
-// loops — four multiplies reduced left to right by three adds, then one
-// add into the destination. The default kernels therefore use separate
-// VMULPD/VADDPD and never FMA (which rounds once instead of twice), and
-// vector lanes map to adjacent output elements, so vector width does
-// not change any element's arithmetic. Results are bit-identical to the
-// scalar path.
-//
-// The *FMA kernels at the bottom of the file are the opt-in fast mode:
-// fused multiply-add accumulation (one rounding per term instead of
-// two) and a relaxed skip predicate that also drops quads whose
-// coefficients are all denormal (|a| < 2^-1022). They are reached only
-// when a caller explicitly passes fast=true through gemm, and are
-// covered by tolerance tests instead of bit-identity tests.
+// Determinism contract: every output element receives exactly the same
+// sequence of IEEE-754 operations as the scalar Go loops — four
+// multiplies reduced left to right by three adds, then one add into the
+// destination. The kernels therefore use separate VMULPD/VADDPD and
+// never FMA (which rounds once instead of twice), and vector lanes map
+// to adjacent output elements, so vector width does not change any
+// element's arithmetic. Results are bit-identical to the scalar path.
 
 #include "textflag.h"
-
-// gemmAbsMask clears the sign bit; gemmTiny is the smallest normal
-// float64 (2^-1022), the fast-mode skip threshold.
-DATA gemmAbsMask<>+0(SB)/8, $0x7fffffffffffffff
-DATA gemmAbsMask<>+8(SB)/8, $0x7fffffffffffffff
-DATA gemmAbsMask<>+16(SB)/8, $0x7fffffffffffffff
-DATA gemmAbsMask<>+24(SB)/8, $0x7fffffffffffffff
-GLOBL gemmAbsMask<>(SB), RODATA|NOPTR, $32
-
-DATA gemmTiny<>+0(SB)/8, $0x0010000000000000
-DATA gemmTiny<>+8(SB)/8, $0x0010000000000000
-DATA gemmTiny<>+16(SB)/8, $0x0010000000000000
-DATA gemmTiny<>+24(SB)/8, $0x0010000000000000
-GLOBL gemmTiny<>(SB), RODATA|NOPTR, $32
 
 // func cpuHasAVX() bool
 TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
@@ -50,26 +28,6 @@ TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
 	MOVB $1, ret+0(FP)
 	RET
 noavx:
-	MOVB $0, ret+0(FP)
-	RET
-
-// func cpuHasFMA() bool
-TEXT ·cpuHasFMA(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	CPUID
-	// Need FMA (ECX bit 12) on top of OSXSAVE/AVX.
-	MOVL CX, AX
-	ANDL $(1<<12 | 1<<27 | 1<<28), AX
-	CMPL AX, $(1<<12 | 1<<27 | 1<<28)
-	JNE  nofma
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  nofma
-	MOVB $1, ret+0(FP)
-	RET
-nofma:
 	MOVB $0, ret+0(FP)
 	RET
 
@@ -608,389 +566,5 @@ p2next:
 	JNZ  p2pos
 
 p2done:
-	VZEROUPPER
-	RET
-
-// ---------------------------------------------------------------------
-// Fast-mode (FMA) kernels. Opt-in only: reached when a caller passes
-// fast=true through gemm AND the CPU reports FMA. Accumulation uses
-// VFMADD231PD (one rounding per term), and the quad/single skip is
-// relaxed to |a| < 2^-1022 — denormal coefficients are dropped, which
-// perturbs a result by at most k * 2^-1020 * max|b|, far below the
-// documented 1e-9 tolerance. NaN coefficients still never skip
-// (|NaN| < t compares false), so non-finite propagation matches the
-// exact kernels.
-// ---------------------------------------------------------------------
-
-// func pairQuadFMA(d0, d1, b0, b1, b2, b3 *float64, n int, a *[8]float64)
-TEXT ·pairQuadFMA(SB), NOSPLIT, $0-64
-	MOVQ d0+0(FP), DI
-	MOVQ d1+8(FP), SI
-	MOVQ b0+16(FP), R8
-	MOVQ b1+24(FP), R9
-	MOVQ b2+32(FP), R10
-	MOVQ b3+40(FP), R11
-	MOVQ n+48(FP), CX
-	MOVQ a+56(FP), DX
-
-	VBROADCASTSD 0(DX), Y0
-	VBROADCASTSD 8(DX), Y1
-	VBROADCASTSD 16(DX), Y2
-	VBROADCASTSD 24(DX), Y3
-	VBROADCASTSD 32(DX), Y4
-	VBROADCASTSD 40(DX), Y5
-	VBROADCASTSD 48(DX), Y6
-	VBROADCASTSD 56(DX), Y7
-
-	XORQ R12, R12
-	MOVQ CX, R13
-	SUBQ $3, R13
-	JLE  fptail
-
-fpvec:
-	CMPQ R12, R13
-	JGE  fptail
-	VMOVUPD (R8)(R12*8), Y8
-	VMOVUPD (R9)(R12*8), Y9
-	VMOVUPD (R10)(R12*8), Y10
-	VMOVUPD (R11)(R12*8), Y11
-
-	VMOVUPD     (DI)(R12*8), Y12
-	VFMADD231PD Y8, Y0, Y12
-	VFMADD231PD Y9, Y1, Y12
-	VFMADD231PD Y10, Y2, Y12
-	VFMADD231PD Y11, Y3, Y12
-	VMOVUPD     Y12, (DI)(R12*8)
-
-	VMOVUPD     (SI)(R12*8), Y13
-	VFMADD231PD Y8, Y4, Y13
-	VFMADD231PD Y9, Y5, Y13
-	VFMADD231PD Y10, Y6, Y13
-	VFMADD231PD Y11, Y7, Y13
-	VMOVUPD     Y13, (SI)(R12*8)
-
-	ADDQ $4, R12
-	JMP  fpvec
-
-fptail:
-	CMPQ R12, CX
-	JGE  fpdone
-	VMOVSD (R8)(R12*8), X8
-	VMOVSD (R9)(R12*8), X9
-	VMOVSD (R10)(R12*8), X10
-	VMOVSD (R11)(R12*8), X11
-
-	VMOVSD      (DI)(R12*8), X12
-	VFMADD231SD X8, X0, X12
-	VFMADD231SD X9, X1, X12
-	VFMADD231SD X10, X2, X12
-	VFMADD231SD X11, X3, X12
-	VMOVSD      X12, (DI)(R12*8)
-
-	VMOVSD      (SI)(R12*8), X13
-	VFMADD231SD X8, X4, X13
-	VFMADD231SD X9, X5, X13
-	VFMADD231SD X10, X6, X13
-	VFMADD231SD X11, X7, X13
-	VMOVSD      X13, (SI)(R12*8)
-
-	INCQ R12
-	JMP  fptail
-
-fpdone:
-	VZEROUPPER
-	RET
-
-// func rowQuadFMA(d, b0, b1, b2, b3 *float64, n int, a *[4]float64)
-TEXT ·rowQuadFMA(SB), NOSPLIT, $0-56
-	MOVQ d+0(FP), DI
-	MOVQ b0+8(FP), R8
-	MOVQ b1+16(FP), R9
-	MOVQ b2+24(FP), R10
-	MOVQ b3+32(FP), R11
-	MOVQ n+40(FP), CX
-	MOVQ a+48(FP), DX
-
-	VBROADCASTSD 0(DX), Y0
-	VBROADCASTSD 8(DX), Y1
-	VBROADCASTSD 16(DX), Y2
-	VBROADCASTSD 24(DX), Y3
-
-	XORQ R12, R12
-	MOVQ CX, R13
-	SUBQ $3, R13
-	JLE  frtail
-
-frvec:
-	CMPQ R12, R13
-	JGE  frtail
-	VMOVUPD (R8)(R12*8), Y8
-	VMOVUPD (R9)(R12*8), Y9
-	VMOVUPD (R10)(R12*8), Y10
-	VMOVUPD (R11)(R12*8), Y11
-
-	VMOVUPD     (DI)(R12*8), Y12
-	VFMADD231PD Y8, Y0, Y12
-	VFMADD231PD Y9, Y1, Y12
-	VFMADD231PD Y10, Y2, Y12
-	VFMADD231PD Y11, Y3, Y12
-	VMOVUPD     Y12, (DI)(R12*8)
-
-	ADDQ $4, R12
-	JMP  frvec
-
-frtail:
-	CMPQ R12, CX
-	JGE  frdone
-	VMOVSD (R8)(R12*8), X8
-	VMOVSD (R9)(R12*8), X9
-	VMOVSD (R10)(R12*8), X10
-	VMOVSD (R11)(R12*8), X11
-
-	VMOVSD      (DI)(R12*8), X12
-	VFMADD231SD X8, X0, X12
-	VFMADD231SD X9, X1, X12
-	VFMADD231SD X10, X2, X12
-	VFMADD231SD X11, X3, X12
-	VMOVSD      X12, (DI)(R12*8)
-
-	INCQ R12
-	JMP  frtail
-
-frdone:
-	VZEROUPPER
-	RET
-
-// func panelTile8FMA(d *float64, ldd int, a *float64, lda int, b *float64, ldb int, rows, k int, bias *float64, relu int)
-//
-// Fast-mode form of panelTile8AVX: FMA accumulation straight into the
-// tile, relaxed |a| < 2^-1022 skip. The ReLU clamp is unchanged
-// (comparison only).
-TEXT ·panelTile8FMA(SB), NOSPLIT, $0-80
-	MOVQ d+0(FP), DI
-	MOVQ ldd+8(FP), DX
-	MOVQ a+16(FP), R14
-	MOVQ lda+24(FP), R13
-	MOVQ b+32(FP), BX
-	MOVQ ldb+40(FP), R9
-	MOVQ rows+48(FP), R15
-	MOVQ k+56(FP), R11
-
-	SHLQ   $3, DX
-	SHLQ   $3, R13
-	SHLQ   $3, R9
-	LEAQ   (R9)(R9*2), R10
-	VXORPD Y0, Y0, Y0
-
-	MOVQ R11, R12
-	ANDQ $3, R12
-	SHRQ $2, R11
-
-	MOVQ   bias+64(FP), AX
-	VXORPD Y14, Y14, Y14
-	VXORPD Y15, Y15, Y15
-	TESTQ  AX, AX
-	JZ     f8seeded
-	VMOVUPD (AX), Y14
-	VMOVUPD 32(AX), Y15
-
-f8seeded:
-	TESTQ R15, R15
-	JZ    f8done
-
-f8row:
-	VMOVAPD Y14, Y12
-	VMOVAPD Y15, Y13
-	MOVQ    R14, SI
-	MOVQ    BX, R8
-	MOVQ    R11, CX
-	TESTQ   CX, CX
-	JZ      f8single
-
-f8quad:
-	// Relaxed skip: all four |a| below the smallest normal.
-	VMOVUPD   (SI), Y1
-	VANDPD    gemmAbsMask<>(SB), Y1, Y1
-	VCMPPD    $17, gemmTiny<>(SB), Y1, Y1
-	VMOVMSKPD Y1, AX
-	CMPL      AX, $0xF
-	JE        f8skip
-
-	VBROADCASTSD 0(SI), Y2
-	VBROADCASTSD 8(SI), Y3
-	VBROADCASTSD 16(SI), Y4
-	VBROADCASTSD 24(SI), Y5
-
-	VMOVUPD     (R8), Y6
-	VMOVUPD     32(R8), Y7
-	VFMADD231PD Y6, Y2, Y12
-	VFMADD231PD Y7, Y2, Y13
-	VMOVUPD     (R8)(R9*1), Y6
-	VMOVUPD     32(R8)(R9*1), Y7
-	VFMADD231PD Y6, Y3, Y12
-	VFMADD231PD Y7, Y3, Y13
-	VMOVUPD     (R8)(R9*2), Y6
-	VMOVUPD     32(R8)(R9*2), Y7
-	VFMADD231PD Y6, Y4, Y12
-	VFMADD231PD Y7, Y4, Y13
-	VMOVUPD     (R8)(R10*1), Y6
-	VMOVUPD     32(R8)(R10*1), Y7
-	VFMADD231PD Y6, Y5, Y12
-	VFMADD231PD Y7, Y5, Y13
-
-f8skip:
-	ADDQ $32, SI
-	LEAQ (R8)(R9*4), R8
-	DECQ CX
-	JNZ  f8quad
-
-f8single:
-	MOVQ  R12, CX
-	TESTQ CX, CX
-	JZ    f8epi
-
-f8single1:
-	VMOVSD (SI), X1
-	VANDPD gemmAbsMask<>(SB), X1, X1
-	VCMPSD $17, gemmTiny<>(SB), X1, X2
-	VMOVQ  X2, AX
-	TESTQ  AX, AX
-	JNZ    f8sskip
-
-	VBROADCASTSD (SI), Y2
-	VMOVUPD      (R8), Y6
-	VMOVUPD      32(R8), Y7
-	VFMADD231PD  Y6, Y2, Y12
-	VFMADD231PD  Y7, Y2, Y13
-
-f8sskip:
-	ADDQ $8, SI
-	ADDQ R9, R8
-	DECQ CX
-	JNZ  f8single1
-
-f8epi:
-	MOVQ  relu+72(FP), AX
-	TESTQ AX, AX
-	JZ    f8store
-	VMAXPD Y12, Y0, Y12
-	VMAXPD Y13, Y0, Y13
-
-f8store:
-	VMOVUPD Y12, (DI)
-	VMOVUPD Y13, 32(DI)
-	ADDQ    DX, DI
-	ADDQ    R13, R14
-	DECQ    R15
-	JNZ     f8row
-
-f8done:
-	VZEROUPPER
-	RET
-
-// func panelTile4FMA(d *float64, ldd int, a *float64, lda int, b *float64, ldb int, rows, k int, bias *float64, relu int)
-TEXT ·panelTile4FMA(SB), NOSPLIT, $0-80
-	MOVQ d+0(FP), DI
-	MOVQ ldd+8(FP), DX
-	MOVQ a+16(FP), R14
-	MOVQ lda+24(FP), R13
-	MOVQ b+32(FP), BX
-	MOVQ ldb+40(FP), R9
-	MOVQ rows+48(FP), R15
-	MOVQ k+56(FP), R11
-
-	SHLQ   $3, DX
-	SHLQ   $3, R13
-	SHLQ   $3, R9
-	LEAQ   (R9)(R9*2), R10
-	VXORPD Y0, Y0, Y0
-
-	MOVQ R11, R12
-	ANDQ $3, R12
-	SHRQ $2, R11
-
-	MOVQ   bias+64(FP), AX
-	VXORPD Y14, Y14, Y14
-	TESTQ  AX, AX
-	JZ     f4seeded
-	VMOVUPD (AX), Y14
-
-f4seeded:
-	TESTQ R15, R15
-	JZ    f4done
-
-f4row:
-	VMOVAPD Y14, Y12
-	MOVQ    R14, SI
-	MOVQ    BX, R8
-	MOVQ    R11, CX
-	TESTQ   CX, CX
-	JZ      f4single
-
-f4quad:
-	VMOVUPD   (SI), Y1
-	VANDPD    gemmAbsMask<>(SB), Y1, Y1
-	VCMPPD    $17, gemmTiny<>(SB), Y1, Y1
-	VMOVMSKPD Y1, AX
-	CMPL      AX, $0xF
-	JE        f4skip
-
-	VBROADCASTSD 0(SI), Y2
-	VBROADCASTSD 8(SI), Y3
-	VBROADCASTSD 16(SI), Y4
-	VBROADCASTSD 24(SI), Y5
-
-	VMOVUPD     (R8), Y6
-	VFMADD231PD Y6, Y2, Y12
-	VMOVUPD     (R8)(R9*1), Y6
-	VFMADD231PD Y6, Y3, Y12
-	VMOVUPD     (R8)(R9*2), Y6
-	VFMADD231PD Y6, Y4, Y12
-	VMOVUPD     (R8)(R10*1), Y6
-	VFMADD231PD Y6, Y5, Y12
-
-f4skip:
-	ADDQ $32, SI
-	LEAQ (R8)(R9*4), R8
-	DECQ CX
-	JNZ  f4quad
-
-f4single:
-	MOVQ  R12, CX
-	TESTQ CX, CX
-	JZ    f4epi
-
-f4single1:
-	VMOVSD (SI), X1
-	VANDPD gemmAbsMask<>(SB), X1, X1
-	VCMPSD $17, gemmTiny<>(SB), X1, X2
-	VMOVQ  X2, AX
-	TESTQ  AX, AX
-	JNZ    f4sskip
-
-	VBROADCASTSD (SI), Y2
-	VMOVUPD      (R8), Y6
-	VFMADD231PD  Y6, Y2, Y12
-
-f4sskip:
-	ADDQ $8, SI
-	ADDQ R9, R8
-	DECQ CX
-	JNZ  f4single1
-
-f4epi:
-	MOVQ  relu+72(FP), AX
-	TESTQ AX, AX
-	JZ    f4store
-	VMAXPD Y12, Y0, Y12
-
-f4store:
-	VMOVUPD Y12, (DI)
-	ADDQ    DX, DI
-	ADDQ    R13, R14
-	DECQ    R15
-	JNZ     f4row
-
-f4done:
 	VZEROUPPER
 	RET

@@ -154,7 +154,7 @@ func TestGemmFusedBiasReLU(t *testing.T) {
 		bias[i] = rng.NormFloat64()
 	}
 	fused := NewMatrix(5, 600)
-	gemm(fused, a, b, false, false, false, bias, true, false)
+	gemm(fused, a, b, false, false, false, bias, true)
 
 	want := seedMatMul(a, b, false, false)
 	for i := 0; i < want.Rows; i++ {
@@ -221,9 +221,9 @@ func TestGemmPanelsMatchesBlockedKernel(t *testing.T) {
 		for _, relu := range []bool{false, true} {
 			for _, bi := range [][]float64{nil, bias} {
 				narrow := NewMatrix(sh.m, sh.n)
-				gemmPanels(narrow.Data, sh.n, a.Data, sh.k, b.Data, sh.n, 0, sh.m, sh.k, sh.n, bi, relu, false)
+				gemmPanels(narrow.Data, sh.n, a.Data, sh.k, b.Data, sh.n, 0, sh.m, sh.k, sh.n, bi, relu)
 				blocked := NewMatrix(sh.m, sh.n)
-				gemmKernel(blocked.Data, sh.n, a.Data, sh.k, b.Data, sh.n, 0, sh.m, sh.k, sh.n, false, bi, relu, false)
+				gemmKernel(blocked.Data, sh.n, a.Data, sh.k, b.Data, sh.n, 0, sh.m, sh.k, sh.n, false, bi, relu)
 				for i := range narrow.Data {
 					if narrow.Data[i] != blocked.Data[i] {
 						t.Fatalf("%dx%dx%d relu=%v bias=%v: elem %d: narrow %v != blocked %v",

@@ -81,9 +81,8 @@ func TestShardRangesDeterministic(t *testing.T) {
 // over the static row partitions of every simulated worker count — in
 // shuffled claim order, the way a real pool hands chunks to whichever
 // worker is idle — and requires the assembled output to be
-// byte-identical to one serial full-range call. Both default and fast
-// mode must satisfy this: sharding may never change results, only
-// tolerance-relaxed kernels may (and those only via the fast flag).
+// byte-identical to one serial full-range call: sharding may never
+// change results.
 func TestShardedKernelsMatchSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full worker-count x shape sharding sweep; skipped under -short")
@@ -102,29 +101,27 @@ func TestShardedKernelsMatchSerial(t *testing.T) {
 		for i := range bias {
 			bias[i] = rng.NormFloat64()
 		}
-		for _, fast := range []bool{false, true} {
-			runKernel := func(dst *Matrix, rlo, rhi int) {
-				if sh.n <= gemmNarrowMax {
-					gemmPanels(dst.Data, sh.n, a.Data, sh.k, b.Data, sh.n, rlo, rhi, sh.k, sh.n, bias, true, fast)
-				} else {
-					gemmKernel(dst.Data, sh.n, a.Data, sh.k, b.Data, sh.n, rlo, rhi, sh.k, sh.n, false, bias, true, fast)
-				}
+		runKernel := func(dst *Matrix, rlo, rhi int) {
+			if sh.n <= gemmNarrowMax {
+				gemmPanels(dst.Data, sh.n, a.Data, sh.k, b.Data, sh.n, rlo, rhi, sh.k, sh.n, bias, true)
+			} else {
+				gemmKernel(dst.Data, sh.n, a.Data, sh.k, b.Data, sh.n, rlo, rhi, sh.k, sh.n, false, bias, true)
 			}
-			serial := NewMatrix(sh.m, sh.n)
-			runKernel(serial, 0, sh.m)
-			grain := gemmGrain(sh.k, sh.n)
-			for _, workers := range []int{1, 2, 3, 8, 16} {
-				ranges := shardRanges(sh.m, grain, workers)
-				rng.Shuffle(len(ranges), func(i, j int) { ranges[i], ranges[j] = ranges[j], ranges[i] })
-				sharded := NewMatrix(sh.m, sh.n)
-				for _, r := range ranges {
-					runKernel(sharded, r[0], r[1])
-				}
-				for i := range sharded.Data {
-					if sharded.Data[i] != serial.Data[i] {
-						t.Fatalf("%dx%dx%d fast=%v workers=%d: elem %d: sharded %v != serial %v",
-							sh.m, sh.k, sh.n, fast, workers, i, sharded.Data[i], serial.Data[i])
-					}
+		}
+		serial := NewMatrix(sh.m, sh.n)
+		runKernel(serial, 0, sh.m)
+		grain := gemmGrain(sh.k, sh.n)
+		for _, workers := range []int{1, 2, 3, 8, 16} {
+			ranges := shardRanges(sh.m, grain, workers)
+			rng.Shuffle(len(ranges), func(i, j int) { ranges[i], ranges[j] = ranges[j], ranges[i] })
+			sharded := NewMatrix(sh.m, sh.n)
+			for _, r := range ranges {
+				runKernel(sharded, r[0], r[1])
+			}
+			for i := range sharded.Data {
+				if sharded.Data[i] != serial.Data[i] {
+					t.Fatalf("%dx%dx%d workers=%d: elem %d: sharded %v != serial %v",
+						sh.m, sh.k, sh.n, workers, i, sharded.Data[i], serial.Data[i])
 				}
 			}
 		}
@@ -171,9 +168,9 @@ func TestMatMulIntoParallelMatchesSerialShapes(t *testing.T) {
 		got := MatMulInto(NewMatrix(sh.m, sh.n), a, b, false, false)
 		serial := NewMatrix(sh.m, sh.n)
 		if sh.n <= gemmNarrowMax {
-			gemmPanels(serial.Data, sh.n, a.Data, sh.k, b.Data, sh.n, 0, sh.m, sh.k, sh.n, nil, false, false)
+			gemmPanels(serial.Data, sh.n, a.Data, sh.k, b.Data, sh.n, 0, sh.m, sh.k, sh.n, nil, false)
 		} else {
-			gemmKernel(serial.Data, sh.n, a.Data, sh.k, b.Data, sh.n, 0, sh.m, sh.k, sh.n, false, nil, false, false)
+			gemmKernel(serial.Data, sh.n, a.Data, sh.k, b.Data, sh.n, 0, sh.m, sh.k, sh.n, false, nil, false)
 		}
 		for i := range got.Data {
 			if got.Data[i] != serial.Data[i] {

@@ -86,25 +86,24 @@ func (d *Dense) Forward(x *Matrix, train bool) *Matrix {
 	d.checkIn(x)
 	if !train {
 		//lint:ignore hotalloc standalone layer eval must not share workspace across goroutines; Network inference pools arenas via PredictInto
-		return d.inferInto(NewMatrix(x.Rows, d.Out), x, false, false)
+		return d.inferInto(NewMatrix(x.Rows, d.Out), x, false)
 	}
 	d.lastX = x
 	out := ensure(&d.out, x.Rows, d.Out)
-	gemm(out, x, d.Weight.W, false, false, false, d.Bias.W.Data, false, false)
+	gemm(out, x, d.Weight.W, false, false, false, d.Bias.W.Data, false)
 	return out
 }
 
 // inferInto writes x@W + b into dst — with the ReLU fused into the
-// product's epilogue when relu is set, and the relaxed-precision
-// kernels when fast is set — touching no layer state.
-func (d *Dense) inferInto(dst, x *Matrix, relu, fast bool) *Matrix {
-	gemm(dst, x, d.Weight.W, false, false, false, d.Bias.W.Data, relu, fast)
+// product's epilogue when relu is set — touching no layer state.
+func (d *Dense) inferInto(dst, x *Matrix, relu bool) *Matrix {
+	gemm(dst, x, d.Weight.W, false, false, false, d.Bias.W.Data, relu)
 	return dst
 }
 
 func (d *Dense) infer(x *Matrix, ws *Arena) *Matrix {
 	d.checkIn(x)
-	return d.inferInto(ws.take(x.Rows, d.Out), x, false, ws.fast)
+	return d.inferInto(ws.take(x.Rows, d.Out), x, false)
 }
 
 // backwardParams accumulates the weight and bias gradients only,

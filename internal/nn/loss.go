@@ -116,41 +116,6 @@ func SoftmaxInPlace(m *Matrix) {
 	}
 }
 
-// softmaxRowIntoFast is the fast-mode softmax row kernel: instead of
-// dividing every exponential by the sum it multiplies by the sum's
-// reciprocal, trading one division per element for one per row at the
-// cost of up to 1 ulp of extra rounding per element. Like
-// softmaxRowInto it tolerates dst == row.
-func softmaxRowIntoFast(dst, row []float64) {
-	maxV := math.Inf(-1)
-	for _, v := range row {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var sum float64
-	for j, v := range row {
-		dst[j] = math.Exp(v - maxV)
-		sum += dst[j]
-	}
-	inv := 1 / sum
-	for j := range dst {
-		dst[j] *= inv
-	}
-}
-
-// SoftmaxInPlaceFast is SoftmaxInPlace with the fast-mode row kernel
-// (reciprocal multiply instead of per-element division). Results are
-// within 1 ulp per probability of SoftmaxInPlace — fine for soft-vote
-// tallies, never for training losses; the fastmath analyzer enforces
-// that it is only reached behind an explicit fast-mode opt-in.
-func SoftmaxInPlaceFast(m *Matrix) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		softmaxRowIntoFast(row, row)
-	}
-}
-
 // OneHot encodes integer labels as a rows x classes one-hot matrix.
 func OneHot(labels []int, classes int) *Matrix {
 	out := NewMatrix(len(labels), classes)

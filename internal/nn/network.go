@@ -13,15 +13,6 @@ import (
 type Network struct {
 	Layers []Layer
 
-	// fastInfer opts the INFERENCE path into the relaxed-precision
-	// kernels (FMA accumulation, fused softmax callers, relaxed zero
-	// skipping). It is deliberately not a persisted field and is never
-	// consulted by Forward(x, true), Backward, or Fit: training and
-	// saved models always use the bit-exact kernels (enforced by the
-	// fastmath analyzer). Toggle it before serving, not concurrently
-	// with in-flight Predict calls.
-	fastInfer bool
-
 	// arenas recycles inference scratch across Predict calls; each
 	// concurrent caller borrows its own Arena, so inference on a shared
 	// trained network is race-free and allocation-free at steady state.
@@ -31,18 +22,6 @@ type Network struct {
 // NewNetwork builds a network from layers.
 func NewNetwork(layers ...Layer) *Network { return &Network{Layers: layers} }
 
-// SetFastInference opts this network's inference passes in or out of
-// the relaxed-precision fast mode. Fast mode trades bit-exactness for
-// speed: results stay within the documented tolerance of the default
-// kernels (see DESIGN.md §7) but are not byte-identical, so it is OFF
-// by default and must never feed training or persisted artifacts.
-// Set it once before serving; it must not be toggled concurrently with
-// in-flight inference calls.
-func (n *Network) SetFastInference(on bool) { n.fastInfer = on }
-
-// FastInference reports whether relaxed-precision inference is enabled.
-func (n *Network) FastInference() bool { return n.fastInfer }
-
 // Forward runs the stack; train enables dropout and other
 // training-only behaviour. Training passes reuse per-layer workspace
 // buffers and must come from a single goroutine; inference passes
@@ -51,15 +30,6 @@ func (n *Network) Forward(x *Matrix, train bool) *Matrix {
 	if !train {
 		return n.PredictInto(nil, x)
 	}
-	return n.forwardTrain(x)
-}
-
-// forwardTrain is the training-only forward pass: dropout enabled,
-// layer workspaces reused, never the relaxed-precision kernels. Fit
-// calls this directly (not Forward) so the training path has no static
-// route to the fast-mode machinery — the fastmath analyzer proves the
-// separation over the whole call graph.
-func (n *Network) forwardTrain(x *Matrix) *Matrix {
 	for _, l := range n.Layers {
 		x = l.Forward(x, true)
 	}
@@ -81,7 +51,7 @@ func (n *Network) inferArena(x *Matrix, ws *Arena) *Matrix {
 		case *Dense:
 			if followedByReLU {
 				l.checkIn(x)
-				x = l.inferInto(ws.take(x.Rows, l.Out), x, true, ws.fast)
+				x = l.inferInto(ws.take(x.Rows, l.Out), x, true)
 				i++
 				continue
 			}
@@ -108,28 +78,11 @@ func (n *Network) inferArena(x *Matrix, ws *Arena) *Matrix {
 // network.
 func (n *Network) PredictInto(dst, x *Matrix) *Matrix {
 	ws := n.acquireArena()
-	ws.fast = n.fastInfer
 	y := n.inferArena(x, ws)
 	dst = copyOut(dst, y)
 	ws.reset()
 	n.arenas.Put(ws)
 	return dst
-}
-
-// PredictExact runs inference on the bit-exact kernels unconditionally,
-// ignoring the fast-inference flag. Training, validation, and
-// calibration go through here: metrics that pick the best epoch or set
-// a detection threshold must never be computed with relaxed precision,
-// even on a network someone already toggled into fast mode. Safe for
-// concurrent use on a shared trained network.
-func (n *Network) PredictExact(x *Matrix) *Matrix {
-	ws := n.acquireArena()
-	ws.fast = false
-	y := n.inferArena(x, ws)
-	out := copyOut(nil, y)
-	ws.reset()
-	n.arenas.Put(ws)
-	return out
 }
 
 // acquireArena checks an inference workspace out of the pool.
@@ -161,7 +114,6 @@ func copyOut(dst, y *Matrix) *Matrix {
 // use on a shared trained network.
 func (n *Network) PredictApply(x *Matrix, visit func(y *Matrix)) {
 	ws := n.acquireArena()
-	ws.fast = n.fastInfer
 	visit(n.inferArena(x, ws))
 	ws.reset()
 	n.arenas.Put(ws)
@@ -305,7 +257,7 @@ func (t *Trainer) Fit(x, y *Matrix, cfg TrainConfig) ([]float64, error) {
 			}
 			bx := gatherRowsInto(&t.bx, x, idx[start:end])
 			by := gatherRowsInto(&t.by, y, idx[start:end])
-			pred := t.Net.forwardTrain(bx)
+			pred := t.Net.Forward(bx, true)
 			loss, grad := t.computeLoss(pred, by)
 			t.Net.Backward(grad)
 			t.Opt.Step(params)
@@ -319,7 +271,7 @@ func (t *Trainer) Fit(x, y *Matrix, cfg TrainConfig) ([]float64, error) {
 			break
 		}
 		if valX != nil {
-			valLoss, _ := t.computeLoss(t.Net.PredictExact(valX), valY)
+			valLoss, _ := t.computeLoss(t.Net.PredictInto(nil, valX), valY)
 			if valLoss < bestVal {
 				bestVal = valLoss
 				bestWeights = t.Net.SaveWeights()

@@ -58,13 +58,6 @@ func ensureF64(s *[]float64, n int) []float64 {
 type Arena struct {
 	slots []*Matrix
 	next  int
-
-	// fast carries the network's opt-in relaxed-precision inference
-	// flag through the pass: layers read it instead of widening every
-	// infer signature. Network.PredictInto/PredictApply set it from the
-	// network before each pass, so a pooled arena never leaks a stale
-	// value across passes.
-	fast bool
 }
 
 // take returns the next scratch matrix, resized to rows x cols.

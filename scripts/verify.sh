@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full per-PR verification: build, tests, vet, formatting, the repo's
-# own ten-analyzer lint pass, and the race detector over every package
+# Full per-PR verification: build, tests, vet, formatting, the
+# allocation and determinism pins at a second core count, the repo's
+# own nine-analyzer lint pass, and the race detector over every package
 # with concurrency. Mirrors the "Full verify" block in ROADMAP.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -10,6 +11,21 @@ go build ./...
 
 echo "== go test"
 go test ./...
+
+# go test ./... ran the pins at the machine's core count; re-run them
+# serially, and on a 1-CPU host at 2 as well, so both the serial and the
+# sharded kernels are pinned. par's shared pool reads GOMAXPROCS at
+# init, so it is set through the environment; -count=1 keeps the test
+# cache, which does not key on GOMAXPROCS, from replaying results.
+pins='Alloc|Determinis|Ownership|Match|Equivalence|Golden'
+procs=(1)
+if [ "$(nproc)" -lt 2 ]; then
+    procs+=(2)
+fi
+for p in "${procs[@]}"; do
+    echo "== pins at GOMAXPROCS=$p"
+    GOMAXPROCS="$p" go test -count=1 -run "$pins" ./internal/...
+done
 
 echo "== go vet"
 go vet ./...
@@ -22,7 +38,7 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== soterialint (ten analyzers, interprocedural facts)"
+echo "== soterialint (nine analyzers, interprocedural facts)"
 go run ./cmd/soterialint ./...
 
 echo "== race suite"

@@ -160,20 +160,6 @@ func (s *System) NewBatcher(cfg BatcherConfig) *Batcher {
 // replacement.
 func (s *System) Pipeline() *core.Pipeline { return s.pipeline }
 
-// SetFastScoring toggles the opt-in relaxed-precision scoring mode:
-// FMA GEMM micro-kernels, relaxed near-zero skipping, and a
-// reciprocal-multiply softmax. Scores stay within the tolerance
-// documented in DESIGN.md §7 of the default bit-exact path; decisions
-// can differ only for samples whose score sits within that tolerance
-// of the detector threshold or of a voting tie. Off by default, never
-// persisted (a loaded system always starts bit-exact), and ignored by
-// training. Toggle before serving traffic, not concurrently with
-// Analyze calls.
-func (s *System) SetFastScoring(on bool) { s.pipeline.SetFastScoring(on) }
-
-// FastScoring reports whether relaxed-precision scoring is enabled.
-func (s *System) FastScoring() bool { return s.pipeline.FastScoring() }
-
 // Cache is a crash-safe, content-addressed result cache: it memoizes
 // feature vectors and verdicts keyed by (content hash, salt, model
 // fingerprint), turning repeat submissions of identical input into
