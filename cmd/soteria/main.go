@@ -14,11 +14,11 @@
 // and -load skips training entirely. Analysis prints one line per
 // input: verdict, reconstruction error, and class.
 //
-// Repeat submissions are served from a content-addressed feature/
-// verdict cache (in-memory by default; -cache-dir persists it across
-// restarts, -cache-max-bytes bounds it, -no-cache disables it). Cache
-// keys include the model fingerprint, so swapping models never serves
-// stale verdicts.
+// Repeat submissions are served from a content-addressed verdict cache
+// (in-memory by default; -cache-dir persists it across restarts,
+// -cache-max-bytes bounds it, -no-cache disables it). Cache keys
+// include the model fingerprint, so swapping models never serves stale
+// verdicts.
 //
 // -serve starts an HTTP server instead of analyzing files: POST raw
 // SOTB bytes to /analyze (optional ?salt=N) for a JSON decision served
@@ -76,9 +76,9 @@ func run(args []string) error {
 	fleetAddr := fs.String("fleet", "", "serve a fleet front door on this address (requires -replicas)")
 	replicasSpec := fs.String("replicas", "", "fleet replicas: an integer N to spawn in-process, or comma-separated base URLs of running -serve processes")
 	salt := fs.Int64("salt", 0, "walk-randomness salt applied to every analyzed file (content-stable, so repeat inputs share cache entries)")
-	cacheDir := fs.String("cache-dir", "", "persist the feature/verdict cache in this directory (default: in-memory only)")
-	cacheMaxBytes := fs.Int64("cache-max-bytes", soteria.DefaultCacheMaxBytes, "byte budget for the feature/verdict cache (LRU-evicted past it)")
-	noCache := fs.Bool("no-cache", false, "disable the feature/verdict cache entirely")
+	cacheDir := fs.String("cache-dir", "", "persist the verdict cache in this directory (default: in-memory only)")
+	cacheMaxBytes := fs.Int64("cache-max-bytes", soteria.DefaultCacheMaxBytes, "byte budget for the verdict cache (LRU-evicted past it)")
+	noCache := fs.Bool("no-cache", false, "disable the verdict cache entirely")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -351,7 +351,7 @@ func serveHandler(reg *soteria.Registry, mr *soteria.ModelRegistry) http.Handler
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		dec, err := mr.SubmitCtx(r.Context(), cfg, salt)
+		dec, err := mr.Submit(r.Context(), cfg, salt)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

@@ -158,7 +158,7 @@ func TestRunCacheDir(t *testing.T) {
 // so the same binary listed twice — or listed at a different position
 // in a later run — got distinct cache keys and defeated the cache.
 // With a constant salt, any number of appearances of one binary, in
-// any order, produce exactly one (verdict, features) key pair.
+// any order, produce exactly one verdict entry.
 func TestRunDuplicateFilesShareCacheKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
@@ -203,9 +203,8 @@ func TestRunDuplicateFilesShareCacheKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	// One key pair: the verdict entry plus the feature blob.
-	if n := cache.Len(); n != 2 {
-		t.Fatalf("cache holds %d entries after duplicate runs, want 2 (one verdict + one feature blob)", n)
+	if n := cache.Len(); n != 1 {
+		t.Fatalf("cache holds %d entries after duplicate runs, want 1 verdict", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -134,7 +135,7 @@ func TestBatcherMatchesAnalyze(t *testing.T) {
 			defer wg.Done()
 			i := g % len(corpus)
 			salt := int64(5000 + i)
-			got, err := b.Submit(corpus[i].CFG, salt)
+			got, err := b.Submit(context.Background(), corpus[i].CFG, salt)
 			if err != nil {
 				failures[g] = err.Error()
 				return
@@ -165,7 +166,7 @@ func TestBatcherPropagatesPerRequestErrors(t *testing.T) {
 	b := NewBatcher(unfitted, BatcherConfig{MaxBatch: 2, MaxWait: time.Millisecond})
 	defer b.Close()
 	for i := 0; i < 3; i++ {
-		if _, err := b.Submit(corpus[0].CFG, int64(i)); !errors.Is(err, features.ErrNotFitted) {
+		if _, err := b.Submit(context.Background(), corpus[0].CFG, int64(i)); !errors.Is(err, features.ErrNotFitted) {
 			t.Fatalf("submit %d: err = %v, want ErrNotFitted", i, err)
 		}
 	}
@@ -188,7 +189,7 @@ func TestBatcherCloseMidFlight(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; ; iter++ {
 				i := (g + iter) % len(corpus)
-				dec, err := b.Submit(corpus[i].CFG, int64(i))
+				dec, err := b.Submit(context.Background(), corpus[i].CFG, int64(i))
 				if err != nil {
 					if !errors.Is(err, ErrBatcherClosed) {
 						failures[g] = err.Error()
@@ -210,7 +211,7 @@ func TestBatcherCloseMidFlight(t *testing.T) {
 			t.Fatalf("submitter %d: %s", g, f)
 		}
 	}
-	if _, err := b.Submit(corpus[0].CFG, 0); !errors.Is(err, ErrBatcherClosed) {
+	if _, err := b.Submit(context.Background(), corpus[0].CFG, 0); !errors.Is(err, ErrBatcherClosed) {
 		t.Fatalf("Submit after Close: err = %v, want ErrBatcherClosed", err)
 	}
 	b.Close() // double Close must not panic or hang

@@ -48,7 +48,7 @@ type request struct {
 	done chan struct{}
 	// key is the request's cache key; withKey marks it valid (set for
 	// every request when the pipeline has a cache attached), which asks
-	// the scoring stage to fill the cache with this sample's results.
+	// the scoring stage to store this sample's verdict.
 	key     store.Key
 	withKey bool
 	// t0 is the queue-wait start stamp, the zero time when the batcher
@@ -133,17 +133,14 @@ func NewBatcher(p *Pipeline, cfg BatcherConfig) *Batcher {
 // callers. After Close, Submit returns ErrBatcherClosed; a Submit
 // racing Close returns either its decision or ErrBatcherClosed, never
 // hangs.
-func (b *Batcher) Submit(c *disasm.CFG, salt int64) (*Decision, error) {
-	return b.SubmitCtx(context.Background(), c, salt)
-}
-
-// SubmitCtx is Submit with cancellation: a caller that gives up —
-// typically an HTTP handler whose client disconnected — stops waiting
-// at the next select instead of holding its goroutine until the batch
-// completes. Cancellation before the handoff withdraws the request
-// entirely; after the handoff the work is already coalesced into a
-// batch (batch composition never affects other requests' results, so
-// the batch runs regardless), and only the wait is abandoned.
+//
+// A caller that gives up — typically an HTTP handler whose client
+// disconnected — cancels ctx and stops waiting at the next select
+// instead of holding its goroutine until the batch completes.
+// Cancellation before the handoff withdraws the request entirely;
+// after the handoff the work is already coalesced into a batch (batch
+// composition never affects other requests' results, so the batch runs
+// regardless), and only the wait is abandoned.
 //
 // With a cache attached to the pipeline, a verdict hit returns without
 // ever occupying a batch slot, and concurrent submissions of identical
@@ -151,7 +148,7 @@ func (b *Batcher) Submit(c *disasm.CFG, salt int64) (*Decision, error) {
 // first enters the batch stream, the rest wait for its published
 // verdict (falling back to their own submission if it fails). Results
 // stay bit-identical to uncached Submits.
-func (b *Batcher) SubmitCtx(ctx context.Context, c *disasm.CFG, salt int64) (*Decision, error) {
+func (b *Batcher) Submit(ctx context.Context, c *disasm.CFG, salt int64) (*Decision, error) {
 	cache := b.p.cache
 	if cache == nil {
 		return b.enqueue(ctx, &request{cfg: c, salt: salt, done: make(chan struct{}), t0: b.met.waitNs.Start()})

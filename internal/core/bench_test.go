@@ -17,6 +17,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -145,7 +146,7 @@ func BenchmarkBatcherThroughput(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			i := int(next.Add(1)-1) % len(cfgs)
-			if _, err := bat.Submit(cfgs[i], int64(i)); err != nil {
+			if _, err := bat.Submit(context.Background(), cfgs[i], int64(i)); err != nil {
 				b.Error(err)
 				return
 			}
@@ -236,7 +237,7 @@ func benchBatcherRepeat(b *testing.B, pct int) {
 				// Unique key: salts from this range are never reused.
 				salt = 1_000_000 + n
 			}
-			if _, err := bat.Submit(cfgs[i], salt); err != nil {
+			if _, err := bat.Submit(context.Background(), cfgs[i], salt); err != nil {
 				b.Error(err)
 				return
 			}

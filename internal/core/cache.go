@@ -1,27 +1,24 @@
 package core
 
-// Cache integration: an attached store.Cache memoizes final verdicts
-// and extracted feature vectors keyed by (content hash, salt, model
-// fingerprint). The verdict tier turns a repeat submission into a hash
-// lookup that skips parsing, disassembly, extraction and scoring; the
-// feature tier skips extraction (the dominant cost) when only the
-// verdict entry was evicted. Keys carry the model fingerprint, so a
-// retrained or different model can never serve another model's
-// results, and all cached decisions are bit-identical to the uncached
-// path by construction — the cache stores outputs, it never changes
-// how they are computed.
+// Cache integration: an attached store.Cache is a verdict cache that
+// memoizes final decisions keyed by (content hash, salt, model
+// fingerprint), turning a repeat submission into a hash lookup that
+// skips parsing, disassembly, extraction and scoring. Keys carry the
+// model fingerprint, so a retrained or different model can never serve
+// another model's results, and all cached decisions are bit-identical
+// to the uncached path by construction — the cache stores outputs, it
+// never changes how they are computed.
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 
 	"soteria/internal/disasm"
-	"soteria/internal/features"
 	"soteria/internal/malgen"
 	"soteria/internal/store"
 )
 
-// AttachCache attaches (nil detaches) a result cache to the pipeline,
+// AttachCache attaches (nil detaches) a verdict cache to the pipeline,
 // pinning the current model fingerprint into every key it writes. Not
 // safe to call concurrently with Analyze calls — attach before
 // serving. Attaching fails only if the model cannot be serialized.
@@ -38,9 +35,6 @@ func (p *Pipeline) AttachCache(c *store.Cache) error {
 	p.cache = c
 	return nil
 }
-
-// Cache returns the attached cache, nil when uncached.
-func (p *Pipeline) Cache() *store.Cache { return p.cache }
 
 // byteKey keys a raw binary submission. sha256.Sum256 keeps the
 // verdict-hit path allocation-free.
@@ -80,125 +74,4 @@ func verdictOf(d *Decision) store.Verdict {
 
 func decisionOf(v store.Verdict) *Decision {
 	return &Decision{Adversarial: v.Adversarial, RE: v.RE, Class: malgen.Class(v.Class)}
-}
-
-// packVectors flattens one sample's extracted representations into the
-// feature tier's blob: WalkCount DBL rows, WalkCount LBL rows, then
-// the detector input (per-walk combined rows or the single aggregated
-// vector, matching the pipeline's detector mode — the mode is part of
-// the fingerprinted Options, so a blob can never be replayed under the
-// other mode).
-func (p *Pipeline) packVectors(v *features.Vectors) []float64 {
-	wc := p.Extractor.Config().WalkCount
-	blob := make([]float64, 0, p.featureBlobLen())
-	for w := 0; w < wc; w++ {
-		blob = append(blob, v.DBL[w]...)
-	}
-	for w := 0; w < wc; w++ {
-		blob = append(blob, v.LBL[w]...)
-	}
-	if p.opts.PerWalkDetector {
-		for w := 0; w < wc; w++ {
-			blob = append(blob, v.CombinedWalks[w]...)
-		}
-	} else {
-		blob = append(blob, v.Combined...)
-	}
-	return blob
-}
-
-// packChunkVectors is packVectors reading chunk sample i's rows out of
-// the analyze pipeline's chunk matrices (which hold exactly the same
-// values ExtractInto produced).
-func (p *Pipeline) packChunkVectors(c *chunkBuf, i, wc int) []float64 {
-	blob := make([]float64, 0, p.featureBlobLen())
-	for w := 0; w < wc; w++ {
-		blob = append(blob, c.dblX.Row(i*wc+w)...)
-	}
-	for w := 0; w < wc; w++ {
-		blob = append(blob, c.lblX.Row(i*wc+w)...)
-	}
-	if p.opts.PerWalkDetector {
-		for w := 0; w < wc; w++ {
-			blob = append(blob, c.detX.Row(i*wc+w)...)
-		}
-	} else {
-		blob = append(blob, c.detX.Row(i)...)
-	}
-	return blob
-}
-
-func (p *Pipeline) featureBlobLen() int {
-	wc := p.Extractor.Config().WalkCount
-	n := 2 * wc * p.Extractor.WalkDim()
-	if p.opts.PerWalkDetector {
-		n += wc * p.Extractor.Dim()
-	} else {
-		n += p.Extractor.Dim()
-	}
-	return n
-}
-
-// unpackVectors rebuilds a Vectors view over a cached blob (the slices
-// alias the blob, which is read-only shared cache memory — scoring
-// never mutates its inputs). A blob whose length does not match the
-// current extractor shape is rejected, turning it into a miss.
-func (p *Pipeline) unpackVectors(blob []float64) (*features.Vectors, bool) {
-	if len(blob) != p.featureBlobLen() {
-		return nil, false
-	}
-	wc := p.Extractor.Config().WalkCount
-	wd := p.Extractor.WalkDim()
-	v := &features.Vectors{
-		DBL: make([][]float64, wc),
-		LBL: make([][]float64, wc),
-	}
-	off := 0
-	for w := 0; w < wc; w++ {
-		v.DBL[w] = blob[off : off+wd : off+wd]
-		off += wd
-	}
-	for w := 0; w < wc; w++ {
-		v.LBL[w] = blob[off : off+wd : off+wd]
-		off += wd
-	}
-	dim := p.Extractor.Dim()
-	if p.opts.PerWalkDetector {
-		v.CombinedWalks = make([][]float64, wc)
-		for w := 0; w < wc; w++ {
-			v.CombinedWalks[w] = blob[off : off+dim : off+dim]
-			off += dim
-		}
-	} else {
-		v.Combined = blob[off : off+dim : off+dim]
-	}
-	return v, true
-}
-
-// scoreCachedFeatures serves key k from the feature tier: on a hit the
-// cached vectors are scored (skipping parse, disassembly and
-// extraction) and the verdict tier is backfilled. ok is false on a
-// tier miss or a shape-mismatched blob.
-func (p *Pipeline) scoreCachedFeatures(k store.Key) (d *Decision, ok bool, err error) {
-	blob, hit := p.cache.Features(k)
-	if !hit {
-		return nil, false, nil
-	}
-	v, valid := p.unpackVectors(blob)
-	if !valid {
-		return nil, false, nil
-	}
-	d, err = p.scoreVectors(v)
-	if err != nil {
-		return nil, true, err
-	}
-	p.cache.PutVerdict(k, verdictOf(d))
-	return d, true, nil
-}
-
-// fillCache stores both tiers for a freshly computed (vectors,
-// decision) pair.
-func (p *Pipeline) fillCache(k store.Key, v *features.Vectors, d *Decision) {
-	p.cache.PutFeatures(k, p.packVectors(v))
-	p.cache.PutVerdict(k, verdictOf(d))
 }

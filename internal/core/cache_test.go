@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -82,9 +83,8 @@ func sameDecision(a, b *Decision) bool {
 }
 
 // TestCachedDecisionEquivalence pins the acceptance property: for the
-// same (content, salt, model), the uncached path, the cache-miss path,
-// the verdict-hit path, and the feature-tier-only path all produce
-// bit-identical decisions.
+// same (content, salt, model), the uncached path, the cache-miss path
+// and the verdict-hit path all produce bit-identical decisions.
 func TestCachedDecisionEquivalence(t *testing.T) {
 	p, _, raws := cachePipeline(t)
 	raw := raws[0]
@@ -105,15 +105,15 @@ func TestCachedDecisionEquivalence(t *testing.T) {
 		}
 	}()
 
-	miss, err := p.AnalyzeBinary(raw, salt) // full miss, fills both tiers
+	miss, err := p.AnalyzeBinary(raw, salt) // miss, stores the verdict
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameDecision(baseline, miss) {
 		t.Fatalf("miss path differs: %+v vs %+v", miss, baseline)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("miss filled %d entries, want verdict+features", c.Len())
+	if c.Len() != 1 {
+		t.Fatalf("miss filled %d entries, want one verdict", c.Len())
 	}
 	hit, err := p.AnalyzeBinary(raw, salt) // verdict hit
 	if err != nil {
@@ -121,30 +121,6 @@ func TestCachedDecisionEquivalence(t *testing.T) {
 	}
 	if !sameDecision(baseline, hit) {
 		t.Fatalf("verdict-hit path differs: %+v vs %+v", hit, baseline)
-	}
-
-	// Feature-tier-only: a fresh cache seeded with just the feature blob
-	// (the state after a verdict eviction) must rescore to the identical
-	// decision and backfill the verdict tier.
-	k := p.byteKey(raw, salt)
-	blob, ok := c.Features(k)
-	if !ok {
-		t.Fatal("feature tier not filled")
-	}
-	c2 := memCache(t)
-	c2.PutFeatures(k, append([]float64(nil), blob...))
-	if err := p.AttachCache(c2); err != nil {
-		t.Fatal(err)
-	}
-	featHit, err := p.AnalyzeBinary(raw, salt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameDecision(baseline, featHit) {
-		t.Fatalf("feature-hit path differs: %+v vs %+v", featHit, baseline)
-	}
-	if _, ok := c2.Verdict(k); !ok {
-		t.Fatal("feature hit did not backfill the verdict tier")
 	}
 
 	// Different salt must not be served from the cache.
@@ -273,9 +249,9 @@ func TestSaveLoadFingerprintStable(t *testing.T) {
 	}
 }
 
-// TestAnalyzeBinaryBatchPartition mixes verdict hits, feature hits and
-// misses in one batch and checks every decision matches the uncached
-// baseline, and that a fully warm re-run does no scoring work.
+// TestAnalyzeBinaryBatchPartition mixes verdict hits and misses in one
+// batch and checks every decision matches the uncached baseline, and
+// that a fully warm re-run does no scoring work.
 func TestAnalyzeBinaryBatchPartition(t *testing.T) {
 	p, reg, raws := cachePipeline(t)
 	n := len(raws)
@@ -298,7 +274,7 @@ func TestAnalyzeBinaryBatchPartition(t *testing.T) {
 		}
 	}()
 
-	// Pre-warm a third of the keys so the batch sees all three kinds.
+	// Pre-warm a third of the keys so the batch sees hits and misses.
 	for i := 0; i < n; i += 3 {
 		if _, err := p.AnalyzeBinary(raws[i], salts[i]); err != nil {
 			t.Fatal(err)
@@ -328,6 +304,77 @@ func TestAnalyzeBinaryBatchPartition(t *testing.T) {
 		if !sameDecision(again[i], baseline[i]) {
 			t.Fatalf("sample %d: warm batch %+v != baseline %+v", i, again[i], baseline[i])
 		}
+	}
+}
+
+// TestCacheCountsOneMissPerMiss pins the cache counters on each entry
+// path: a fresh sample is one cache.miss and leaves one entry, and its
+// repeat is one cache.hit.
+func TestCacheCountsOneMissPerMiss(t *testing.T) {
+	p, _, raws := cachePipeline(t)
+	raw := raws[3]
+	const salt = 5
+	cfg := mustCFG(t, p, raw)
+	b := NewBatcher(p, BatcherConfig{})
+	defer b.Close()
+	paths := []struct {
+		name    string
+		analyze func() error
+	}{
+		{"AnalyzeBinary", func() error {
+			_, err := p.AnalyzeBinary(raw, salt)
+			return err
+		}},
+		{"AnalyzeBinaryBatch", func() error {
+			_, err := p.AnalyzeBinaryBatch([][]byte{raw}, []int64{salt})
+			return err
+		}},
+		{"Batcher", func() error {
+			_, err := b.Submit(context.Background(), cfg, salt)
+			return err
+		}},
+	}
+	for _, path := range paths {
+		t.Run(path.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			c, err := store.Open(store.Config{Obs: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if err := c.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			if err := p.AttachCache(c); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if err := p.AttachCache(nil); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			check := func(when string, hits, misses uint64) {
+				t.Helper()
+				if got := reg.Counter("cache.hit").Value(); got != hits {
+					t.Errorf("%s: cache.hit = %d, want %d", when, got, hits)
+				}
+				if got := reg.Counter("cache.miss").Value(); got != misses {
+					t.Errorf("%s: cache.miss = %d, want %d", when, got, misses)
+				}
+				if c.Len() != 1 {
+					t.Errorf("%s: Len = %d, want 1", when, c.Len())
+				}
+			}
+			if err := path.analyze(); err != nil {
+				t.Fatal(err)
+			}
+			check("fresh sample", 0, 1)
+			if err := path.analyze(); err != nil {
+				t.Fatal(err)
+			}
+			check("repeat", 1, 1)
+		})
 	}
 }
 
@@ -399,7 +446,7 @@ func TestBatcherSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			decs[i], errs[i] = b.Submit(cfg, salt)
+			decs[i], errs[i] = b.Submit(context.Background(), cfg, salt)
 		}(i)
 	}
 	wg.Wait()
@@ -416,7 +463,7 @@ func TestBatcherSingleflight(t *testing.T) {
 	}
 
 	// Warm resubmission is a pure hit: still no extra scoring.
-	d, err := b.Submit(cfg, salt)
+	d, err := b.Submit(context.Background(), cfg, salt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +475,7 @@ func TestBatcherSingleflight(t *testing.T) {
 	}
 
 	// A different salt is different work.
-	if _, err := b.Submit(cfg, salt+1); err != nil {
+	if _, err := b.Submit(context.Background(), cfg, salt+1); err != nil {
 		t.Fatal(err)
 	}
 	if scored := samplesCount(reg) - before; scored != 2 {

@@ -175,7 +175,7 @@ func TestObsBatcherMetrics(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if _, err := b.Submit(corpus[g%len(corpus)].CFG, int64(g)); err != nil {
+			if _, err := b.Submit(context.Background(), corpus[g%len(corpus)].CFG, int64(g)); err != nil {
 				t.Error(err)
 			}
 		}(g)
@@ -221,7 +221,7 @@ func TestObsBatcherBackpressure(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if _, err := b.Submit(corpus[g%len(corpus)].CFG, int64(g)); err != nil {
+			if _, err := b.Submit(context.Background(), corpus[g%len(corpus)].CFG, int64(g)); err != nil {
 				t.Error(err)
 			}
 		}(g)
@@ -259,7 +259,7 @@ func TestObsBatcherBackpressure(t *testing.T) {
 
 	// Post-Close submissions are rejections, and the depth stays level.
 	b.Close()
-	if _, err := b.Submit(corpus[0].CFG, 99); err != ErrBatcherClosed {
+	if _, err := b.Submit(context.Background(), corpus[0].CFG, 99); err != ErrBatcherClosed {
 		t.Fatalf("Submit after Close = %v, want ErrBatcherClosed", err)
 	}
 	if got := reg.Counter("batcher.rejected").Value() - rejected0; got != 1 {
@@ -276,8 +276,8 @@ func TestObsBatcherBackpressure(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pre := reg.Counter("batcher.rejected").Value()
-	if _, err := b.SubmitCtx(ctx, corpus[0].CFG, 7); err == nil {
-		t.Fatal("cancelled SubmitCtx on a closed batcher must fail")
+	if _, err := b.Submit(ctx, corpus[0].CFG, 7); err == nil {
+		t.Fatal("cancelled Submit on a closed batcher must fail")
 	}
 	if got := reg.Counter("batcher.rejected").Value() - pre; got != 1 {
 		t.Fatalf("rejected after cancelled submit = %d, want 1", got)
@@ -363,7 +363,7 @@ func TestBatcherScratchHoldsNoCFGs(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if _, err := b.Submit(corpus[g%len(corpus)].CFG, int64(g)); err != nil {
+			if _, err := b.Submit(context.Background(), corpus[g%len(corpus)].CFG, int64(g)); err != nil {
 				t.Error(err)
 			}
 		}(g)

@@ -62,8 +62,8 @@ type Options struct {
 	// produces bit-identical models and decisions to one trained
 	// without. Not persisted.
 	Obs *obs.Registry `json:"-"`
-	// Cache, when non-nil, is attached to the trained pipeline (see
-	// Pipeline.AttachCache): verdicts and feature vectors are memoized
+	// Cache, when non-nil, is attached to the trained pipeline as its
+	// verdict cache (see Pipeline.AttachCache): verdicts are memoized
 	// under the freshly trained model's fingerprint. Not persisted.
 	Cache *store.Cache `json:"-"`
 }
@@ -123,8 +123,8 @@ type Pipeline struct {
 	// copied into the chunk matrices before the set returns to the pool.
 	vecs sync.Pool
 
-	// cache, when non-nil, memoizes verdicts and feature vectors under
-	// modelFP (the fingerprint pinned at AttachCache time). Every cache
+	// cache, when non-nil, memoizes verdicts under modelFP (the
+	// fingerprint pinned at AttachCache time). Every cache
 	// interaction is gated on the nil check, so an uncached pipeline
 	// runs the exact pre-cache path.
 	cache   *store.Cache
@@ -307,14 +307,6 @@ func (p *Pipeline) Analyze(c *disasm.CFG, salt int64) (*Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.scoreVectors(v)
-}
-
-// scoreVectors runs the scoring half of Analyze — detector error plus
-// ensemble vote — over already-extracted representations. It is the
-// shared tail of the fresh path and the feature-cache hit path, which
-// is what keeps cached decisions bit-identical to uncached ones.
-func (p *Pipeline) scoreVectors(v *features.Vectors) (*Decision, error) {
 	var re float64
 	if p.opts.PerWalkDetector {
 		re = p.Detector.SampleError(v.CombinedWalks)
@@ -401,7 +393,7 @@ func (p *Pipeline) AnalyzeBatch(cfgs []*disasm.CFG, salts []int64) ([]*Decision,
 // otherwise. The Batcher serves coalesced requests through this form so
 // one bad CFG fails only its submitter. A non-nil keys slice (parallel
 // to cfgs) asks the scoring stage to fill the attached cache with each
-// successful sample's features and verdict; nil runs fully uncached.
+// successful sample's verdict; nil runs fully uncached.
 func (p *Pipeline) analyzeBatch(cfgs []*disasm.CFG, salts []int64, keys []store.Key) ([]*Decision, []error) {
 	n := len(cfgs)
 	out := make([]*Decision, n)
@@ -500,10 +492,10 @@ func (p *Pipeline) extractChunk(c *chunkBuf, cfgs []*disasm.CFG, salts []int64, 
 // scoreChunk runs the batched scoring stage over one extracted chunk —
 // one standardize+forward+RMSE pass for the detector and one forward
 // per labeling for the ensemble — and scatters decisions into the
-// batch-level output. With a non-nil keys slice it also fills the
-// attached cache from the chunk's rows; this runs in the serial
-// scoring stage, the sanctioned place for shared-state side effects
-// (the extraction stage's par.For bodies must stay pure).
+// batch-level output. With a non-nil keys slice it also stores each
+// decision in the attached cache; this runs in the serial scoring
+// stage, the sanctioned place for shared-state side effects (the
+// extraction stage's par.For bodies must stay pure).
 func (p *Pipeline) scoreChunk(c *chunkBuf, out []*Decision, errs []error, keys []store.Key) {
 	failed := 0
 	for _, err := range c.errs {
@@ -525,54 +517,38 @@ func (p *Pipeline) scoreChunk(c *chunkBuf, out []*Decision, errs []error, keys [
 		p.Ensemble.VoteBatchInto(c.cls, c.dblX, c.lblX, p.Extractor.Config().WalkCount)
 		threshold = p.Detector.Threshold()
 	}
+	fill := p.cache != nil && keys != nil
 	for i := 0; i < c.n; i++ {
 		if err := c.errs[i]; err != nil {
 			errs[c.lo+i] = err
 			continue
 		}
-		out[c.lo+i] = &Decision{
+		d := &Decision{
 			Adversarial: c.res[i] > threshold,
 			RE:          c.res[i],
 			Class:       malgen.Class(c.cls[i]),
 		}
-	}
-	if p.cache != nil && keys != nil {
-		wc := p.Extractor.Config().WalkCount
-		for i := 0; i < c.n; i++ {
-			if c.errs[i] != nil {
-				continue
-			}
-			k := keys[c.lo+i]
-			p.cache.PutFeatures(k, p.packChunkVectors(c, i, wc))
-			p.cache.PutVerdict(k, verdictOf(out[c.lo+i]))
+		out[c.lo+i] = d
+		if fill {
+			p.cache.PutVerdict(keys[c.lo+i], verdictOf(d))
 		}
 	}
 }
 
 // AnalyzeBinary disassembles and analyzes a raw SOTB binary. With a
-// cache attached, the verdict tier is consulted before any parsing or
-// disassembly (a hit is a pure hash lookup) and the feature tier
-// before extraction; a full miss computes the decision on the normal
-// path and fills both tiers.
+// cache attached, the verdict is looked up before any parsing or
+// disassembly (a hit is a pure hash lookup), and a miss stores the
+// verdict it computes.
 func (p *Pipeline) AnalyzeBinary(bin []byte, salt int64) (*Decision, error) {
-	if p.cache == nil {
-		return p.analyzeBinaryFresh(bin, salt, store.Key{}, false)
+	var k store.Key
+	if p.cache != nil {
+		k = p.byteKey(bin, salt)
+		t := p.met.cacheHitNs.Start()
+		if v, ok := p.cache.Verdict(k); ok {
+			p.met.cacheHitNs.Stop(t)
+			return decisionOf(v), nil
+		}
 	}
-	k := p.byteKey(bin, salt)
-	t := p.met.cacheHitNs.Start()
-	if v, ok := p.cache.Verdict(k); ok {
-		p.met.cacheHitNs.Stop(t)
-		return decisionOf(v), nil
-	}
-	if d, ok, err := p.scoreCachedFeatures(k); ok {
-		return d, err
-	}
-	return p.analyzeBinaryFresh(bin, salt, k, true)
-}
-
-// analyzeBinaryFresh is the uncached single-binary path; with fill set
-// it stores the computed features and verdict under k.
-func (p *Pipeline) analyzeBinaryFresh(bin []byte, salt int64, k store.Key, fill bool) (*Decision, error) {
 	parsed, err := parseBinary(bin)
 	if err != nil {
 		return nil, err
@@ -581,13 +557,9 @@ func (p *Pipeline) analyzeBinaryFresh(bin []byte, salt int64, k store.Key, fill 
 	if err != nil {
 		return nil, fmt.Errorf("core: disassemble: %w", err)
 	}
-	v, err := p.Extractor.Extract(cfg, salt)
-	if err != nil {
-		return nil, err
-	}
-	d, err := p.scoreVectors(v)
-	if err == nil && fill {
-		p.fillCache(k, v, d)
+	d, err := p.Analyze(cfg, salt)
+	if err == nil && p.cache != nil {
+		p.cache.PutVerdict(k, verdictOf(d))
 	}
 	return d, err
 }
@@ -595,10 +567,10 @@ func (p *Pipeline) analyzeBinaryFresh(bin []byte, salt int64, k store.Key, fill 
 // AnalyzeBinaryBatch disassembles and analyzes many raw SOTB binaries
 // in one batched pass. A binary that fails to parse or disassemble
 // aborts the batch with its index in the error. With a cache attached
-// the batch partitions: verdict hits are served immediately, feature
-// hits skip straight to scoring, and only true misses flow through the
-// two-stage extract/score pipeline (which fills the cache as it goes).
-// Per-sample results are bit-identical either way.
+// the batch partitions: verdict hits are served immediately, and only
+// misses flow through the two-stage extract/score pipeline (which
+// stores their verdicts as it goes). Per-sample results are
+// bit-identical either way.
 func (p *Pipeline) AnalyzeBinaryBatch(bins [][]byte, salts []int64) ([]*Decision, error) {
 	if len(bins) != len(salts) {
 		return nil, fmt.Errorf("core: %d binaries but %d salts", len(bins), len(salts))
@@ -618,14 +590,6 @@ func (p *Pipeline) AnalyzeBinaryBatch(bins [][]byte, salts []int64) ([]*Decision
 		keys[i] = p.byteKey(bin, salts[i])
 		if v, ok := p.cache.Verdict(keys[i]); ok {
 			out[i] = decisionOf(v)
-			continue
-		}
-		d, ok, err := p.scoreCachedFeatures(keys[i])
-		if err != nil {
-			return nil, fmt.Errorf("core: sample %d: %w", i, err)
-		}
-		if ok {
-			out[i] = d
 			continue
 		}
 		missIdx = append(missIdx, i)

@@ -17,10 +17,7 @@ import (
 //  1. minting a fresh context with context.Background or context.TODO
 //     is forbidden — handlers must derive from r.Context(), context-
 //     carrying functions from their ctx parameter;
-//  2. calling a function that has a context-accepting sibling
-//     (Submit vs SubmitCtx) drops the caller's context on the floor
-//     and is flagged with the sibling to use;
-//  3. with whole-repo facts, calling any module function that
+//  2. with whole-repo facts, calling any module function that
 //     transitively mints a bare context (and does not itself accept
 //     one) is flagged — the wrapper hides the drop, the analyzer
 //     follows it.
@@ -112,7 +109,7 @@ func checkCtxBody(pass *Pass, body *ast.BlockStmt, kind ctxKind, qualifying map[
 	})
 }
 
-// checkCtxCall applies the three rules to one call site, most specific
+// checkCtxCall applies the two rules to one call site, most specific
 // first, reporting at most once.
 func checkCtxCall(pass *Pass, call *ast.CallExpr, kind ctxKind) {
 	// Rule 1: a direct context.Background/TODO call.
@@ -134,57 +131,10 @@ func checkCtxCall(pass *Pass, call *ast.CallExpr, kind ctxKind) {
 	if sig == nil || hasContextParam(sig) {
 		return // callee accepts a context; propagation is its problem
 	}
-	// Rule 2: a context-accepting sibling exists — name it.
-	if moduleOf(fn.Pkg().Path()) == moduleOf(pass.BasePath()) {
-		if sibling := ctxSibling(fn); sibling != "" {
-			pass.Reportf(call.Pos(), "%s drops the caller's context; call %s and pass the context through", fn.Name(), sibling)
-			return
-		}
-	}
-	// Rule 3: the callee transitively mints a bare context.
+	// Rule 2: the callee transitively mints a bare context.
 	if pass.Facts.Has(FuncID(fn), FactCallsBareContext) {
 		pass.Reportf(call.Pos(), "call to %s reaches context.Background/TODO without accepting a context; plumb the caller's context through it", fn.Name())
 	}
-}
-
-// ctxSibling returns the name of a context-accepting variant of fn
-// ("<Name>Ctx" as a sibling function in the same package scope, or a
-// method on the same receiver type), or "" when none exists.
-func ctxSibling(fn *types.Func) string {
-	want := fn.Name() + "Ctx"
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil {
-		return ""
-	}
-	if recv := sig.Recv(); recv != nil {
-		t := types.Unalias(recv.Type())
-		if p, ok := t.(*types.Pointer); ok {
-			t = types.Unalias(p.Elem())
-		}
-		named, ok := t.(*types.Named)
-		if !ok {
-			return ""
-		}
-		for i := 0; i < named.NumMethods(); i++ {
-			m := named.Method(i)
-			if m.Name() != want {
-				continue
-			}
-			if msig, ok := m.Type().(*types.Signature); ok && hasContextParam(msig) {
-				return want
-			}
-		}
-		return ""
-	}
-	obj := fn.Pkg().Scope().Lookup(want)
-	sibling, ok := obj.(*types.Func)
-	if !ok {
-		return ""
-	}
-	if ssig, ok := sibling.Type().(*types.Signature); ok && hasContextParam(ssig) {
-		return want
-	}
-	return ""
 }
 
 // isHandlerSig reports whether sig is func(http.ResponseWriter,

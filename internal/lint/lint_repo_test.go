@@ -354,10 +354,9 @@ var (
 }
 
 // TestRegistryScopeHasTeeth proves ctxflow polices internal/registry:
-// a seeded registry file whose admin handler mints a fresh context and
-// drops it into Submit (with a SubmitCtx sibling in scope), plus a
-// ctx-carrying scorer that re-mints, must produce a diagnostic for
-// each violation.
+// a seeded registry file whose admin handler mints a fresh context,
+// plus a ctx-carrying scorer that re-mints, must produce a diagnostic
+// for each violation.
 func TestRegistryScopeHasTeeth(t *testing.T) {
 	root := t.TempDir()
 	path := filepath.Join(root, "internal", "registry", "bad.go")
@@ -374,15 +373,11 @@ import (
 func handleActivate(w http.ResponseWriter, r *http.Request) {
 	ctx := context.Background()
 	_ = ctx
-	Submit()
 }
 
 func scoreShadow(ctx context.Context) {
 	_ = context.TODO()
 }
-
-func Submit()                           {}
-func SubmitCtx(ctx context.Context)     { _ = ctx }
 
 var (
 	_ = handleActivate
@@ -409,7 +404,6 @@ var (
 	for _, want := range []string{
 		"derive from r.Context()",
 		"derive from the ctx parameter",
-		"Submit drops the caller's context; call SubmitCtx",
 	} {
 		found := false
 		for _, m := range msgs {

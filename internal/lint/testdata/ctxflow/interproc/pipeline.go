@@ -9,9 +9,9 @@ import "context"
 
 type Pipeline struct{}
 
-// Kick runs detached work on a fresh background context. It neither
-// accepts a context nor has a Ctx sibling, so only the fact store can
-// tell callers it re-mints one.
+// Kick runs detached work on a fresh background context. It does not
+// accept a context, so only the fact store can tell callers it
+// re-mints one.
 func (p *Pipeline) Kick() {
 	p.kickWith(context.Background())
 }

@@ -323,24 +323,19 @@ func (r *Registry) Active() string {
 	return ""
 }
 
-// Submit analyzes one CFG on the active version and blocks until its
-// decision is ready. See SubmitCtx.
-func (r *Registry) Submit(c *disasm.CFG, salt int64) (*core.Decision, error) {
-	return r.SubmitCtx(context.Background(), c, salt)
-}
-
-// SubmitCtx analyzes one CFG through the active version's batcher.
-// The version is chosen exactly once, by one atomic load: whichever
-// version answers computed the cache key, ran the scoring, and owns
-// the decision — a concurrent Activate affects only later submissions.
-// Successful decisions are sampled into the shadow mirror, which never
-// blocks or fails the serving path.
-func (r *Registry) SubmitCtx(ctx context.Context, c *disasm.CFG, salt int64) (*core.Decision, error) {
+// Submit analyzes one CFG through the active version's batcher and
+// blocks until its decision is ready or ctx is done (see
+// core.Batcher.Submit). The version is chosen exactly once, by one
+// atomic load: whichever version answers computed the cache key, ran
+// the scoring, and owns the decision — a concurrent Activate affects
+// only later submissions. Successful decisions are sampled into the
+// shadow mirror, which never blocks or fails the serving path.
+func (r *Registry) Submit(ctx context.Context, c *disasm.CFG, salt int64) (*core.Decision, error) {
 	v := r.active.Load()
 	if v == nil {
 		return nil, ErrNoActive
 	}
-	dec, err := v.bat.SubmitCtx(ctx, c, salt)
+	dec, err := v.bat.Submit(ctx, c, salt)
 	if err != nil {
 		return nil, err
 	}

@@ -70,7 +70,7 @@ func TestLoadActivateSubmit(t *testing.T) {
 	r := registry.New(registry.Config{})
 	defer r.Close()
 
-	if _, err := r.Submit(samples[0].CFG, 0); err != registry.ErrNoActive {
+	if _, err := r.Submit(context.Background(), samples[0].CFG, 0); err != registry.ErrNoActive {
 		t.Fatalf("Submit before activation: %v, want ErrNoActive", err)
 	}
 
@@ -105,7 +105,7 @@ func TestLoadActivateSubmit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.Submit(s.CFG, int64(i))
+		got, err := r.Submit(context.Background(), s.CFG, int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,13 +178,7 @@ func TestSwapUnderLoad(t *testing.T) {
 			ctx := context.Background()
 			for i := 0; i < perWorker; i++ {
 				n := (w + i) % len(samples)
-				var dec *core.Decision
-				var err error
-				if i%2 == 0 {
-					dec, err = r.Submit(samples[n].CFG, int64(n))
-				} else {
-					dec, err = r.SubmitCtx(ctx, samples[n].CFG, int64(n))
-				}
+				dec, err := r.Submit(ctx, samples[n].CFG, int64(n))
 				if err != nil {
 					errc <- err
 					return
@@ -246,7 +240,7 @@ func TestShadowScoringAndCutover(t *testing.T) {
 	var stats registry.ShadowStats
 	for {
 		for i, s := range samples {
-			if _, err := r.Submit(s.CFG, int64(i)); err != nil {
+			if _, err := r.Submit(context.Background(), s.CFG, int64(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -338,14 +332,14 @@ func TestSharedCacheDisjointKeyspaces(t *testing.T) {
 	if err := r.Activate(id1); err != nil {
 		t.Fatal(err)
 	}
-	d1, err := r.Submit(samples[0].CFG, 0)
+	d1, err := r.Submit(context.Background(), samples[0].CFG, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Activate(id2); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := r.Submit(samples[0].CFG, 0)
+	d2, err := r.Submit(context.Background(), samples[0].CFG, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +376,7 @@ func TestLoadSavedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := p1.Analyze(samples[1].CFG, 1)
-	got, err := r.Submit(samples[1].CFG, 1)
+	got, err := r.Submit(context.Background(), samples[1].CFG, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +394,7 @@ func TestCloseRejectsFurtherWork(t *testing.T) {
 	}
 	r.Close()
 	r.Close() // idempotent
-	if _, err := r.Submit(samples[0].CFG, 0); err == nil {
+	if _, err := r.Submit(context.Background(), samples[0].CFG, 0); err == nil {
 		t.Fatal("Submit after Close should error")
 	}
 	if _, err := r.Load(p1); err != registry.ErrClosed {

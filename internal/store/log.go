@@ -5,13 +5,18 @@ package store
 //	header   "SOTC" | u32 version            (8 bytes)
 //	record   u32 len | u32 crc32(payload) | payload
 //	payload  kind u8 | content [32] | salt u64 | model [32] | body
-//	body     verdict:  flag u8 | u64 float bits of RE | u32 class
-//	         features: u32 count | count × u64 float bits
+//	body     flag u8 | u64 float bits of RE | u32 class    (kind 1)
 //
 // All integers are little-endian. The CRC plus the length prefix makes
 // a torn tail self-evident on replay: the first record that fails the
 // length or checksum ends the replay and the file is truncated back to
 // the end of the last intact record.
+//
+// Kind 2 was the feature-vector record of a retired second cache tier.
+// Logs written before its removal start with one, so replay skips an
+// intact kind-2 record instead of treating it as corruption; its bytes
+// stay in the log as dead weight until the next rotation drops them.
+// Any other unknown kind still ends the replay.
 
 import (
 	"encoding/binary"
@@ -28,6 +33,10 @@ const (
 	logVersion = 1
 
 	maxRecordLen = 64 << 20 // sanity bound on one record's payload
+
+	// Record kinds: the payload's first byte.
+	kindVerdict         byte = 1
+	kindRetiredFeatures byte = 2
 )
 
 // openLog replays (or creates) the log at path and leaves c.f open for
@@ -58,10 +67,11 @@ func (c *Cache) openLog(path string) error {
 	return nil
 }
 
-// replay scans the log, inserting every intact record into the index
-// (later records win, and the LRU order follows log order so the
-// oldest writes evict first). It returns the offset just past the last
-// intact record. A fresh/empty file gets its header written here.
+// replay scans the log, inserting every intact verdict record into the
+// index (later records win, and the LRU order follows log order so the
+// oldest writes evict first) and skipping intact retired feature
+// records. It returns the offset just past the last intact record. A
+// fresh/empty file gets its header written here.
 func (c *Cache) replay(f *os.File) (int64, error) {
 	var hdr [8]byte
 	n, err := io.ReadFull(f, hdr[:])
@@ -98,11 +108,13 @@ func (c *Cache) replay(f *os.File) (int64, error) {
 		if crc32.ChecksumIEEE(payload) != sum {
 			return good, nil
 		}
-		e, ok := decodeRecord(payload)
-		if !ok {
-			return good, nil
+		if payload[0] != kindRetiredFeatures {
+			e, ok := decodeRecord(payload)
+			if !ok {
+				return good, nil
+			}
+			c.insert(e, false)
 		}
-		c.insert(e, false)
 		good += int64(len(frame)) + int64(length)
 	}
 }
@@ -132,7 +144,7 @@ const rotateThreshold = 1 << 20
 // log, so a crash at any point leaves either the old or the new log
 // intact. Caller holds c.mu.
 func (c *Cache) maybeRotateLocked() {
-	if c.logBytes < rotateThreshold || c.logBytes < 2*c.live {
+	if c.logBytes < rotateThreshold || c.logBytes < 2*c.liveLocked() {
 		return
 	}
 	path := c.f.Name()
@@ -193,71 +205,41 @@ func (c *Cache) writeSnapshot(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// appendRecord encodes e as one framed record into dst.
+// appendRecord encodes e as one framed verdict record into dst.
 func appendRecord(dst []byte, e *entry) []byte {
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame placeholder
 	body := len(dst)
-	dst = append(dst, e.ik.kind)
-	dst = append(dst, e.ik.key.Content[:]...)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.ik.key.Salt))
-	dst = append(dst, e.ik.key.Model[:]...)
-	switch e.ik.kind {
-	case kindVerdict:
-		flag := byte(0)
-		if e.verdict.Adversarial {
-			flag = 1
-		}
-		dst = append(dst, flag)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.verdict.RE))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.verdict.Class))
-	case kindFeatures:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.feats)))
-		for _, v := range e.feats {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
+	dst = append(dst, kindVerdict)
+	dst = append(dst, e.key.Content[:]...)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.key.Salt))
+	dst = append(dst, e.key.Model[:]...)
+	flag := byte(0)
+	if e.verdict.Adversarial {
+		flag = 1
 	}
+	dst = append(dst, flag)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.verdict.RE))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(e.verdict.Class))
 	payload := dst[body:]
 	binary.LittleEndian.PutUint32(dst[body-8:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[body-4:], crc32.ChecksumIEEE(payload))
 	return dst
 }
 
-// decodeRecord parses one payload back into an entry.
+// decodeRecord parses one verdict payload back into an entry; any
+// other kind or a malformed body is rejected.
 func decodeRecord(p []byte) (*entry, bool) {
 	const keyLen = 1 + 32 + 8 + 32
-	if len(p) < keyLen {
+	if len(p) != keyLen+1+8+4 || p[0] != kindVerdict {
 		return nil, false
 	}
 	e := &entry{}
-	e.ik.kind = p[0]
-	copy(e.ik.key.Content[:], p[1:33])
-	e.ik.key.Salt = int64(binary.LittleEndian.Uint64(p[33:41]))
-	copy(e.ik.key.Model[:], p[41:73])
+	copy(e.key.Content[:], p[1:33])
+	e.key.Salt = int64(binary.LittleEndian.Uint64(p[33:41]))
+	copy(e.key.Model[:], p[41:73])
 	body := p[keyLen:]
-	switch e.ik.kind {
-	case kindVerdict:
-		if len(body) != 1+8+4 {
-			return nil, false
-		}
-		e.verdict.Adversarial = body[0] == 1
-		e.verdict.RE = math.Float64frombits(binary.LittleEndian.Uint64(body[1:9]))
-		e.verdict.Class = int32(binary.LittleEndian.Uint32(body[9:13]))
-		e.size = entryOverhead
-	case kindFeatures:
-		if len(body) < 4 {
-			return nil, false
-		}
-		n := binary.LittleEndian.Uint32(body[:4])
-		if len(body) != 4+8*int(n) {
-			return nil, false
-		}
-		e.feats = make([]float64, n)
-		for i := range e.feats {
-			e.feats[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[4+8*i:]))
-		}
-		e.size = entryOverhead + 8*int64(n)
-	default:
-		return nil, false
-	}
+	e.verdict.Adversarial = body[0] == 1
+	e.verdict.RE = math.Float64frombits(binary.LittleEndian.Uint64(body[1:9]))
+	e.verdict.Class = int32(binary.LittleEndian.Uint32(body[9:13]))
 	return e, true
 }

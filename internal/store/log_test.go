@@ -1,6 +1,9 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -26,25 +29,19 @@ func TestRestartReplay(t *testing.T) {
 	dir := t.TempDir()
 	c := openTemp(t, dir, 0)
 	want := Verdict{Adversarial: true, RE: 3.25, Class: 1}
-	feats := []float64{0.5, -1, 42}
 	c.PutVerdict(testKey(1), want)
-	c.PutFeatures(testKey(1), feats)
 	c.PutVerdict(testKey(2), Verdict{Class: 2})
 	closeCache(t, c)
 
 	// A fresh Open over the same dir must serve everything as hits.
 	c2 := openTemp(t, dir, 0)
 	defer closeCache(t, c2)
-	if c2.Len() != 3 {
-		t.Fatalf("replayed Len = %d, want 3", c2.Len())
+	if c2.Len() != 2 {
+		t.Fatalf("replayed Len = %d, want 2", c2.Len())
 	}
 	got, ok := c2.Verdict(testKey(1))
 	if !ok || got != want {
 		t.Fatalf("replayed verdict = %+v, %v", got, ok)
-	}
-	f, ok := c2.Features(testKey(1))
-	if !ok || len(f) != 3 || f[0] != 0.5 || f[1] != -1 || f[2] != 42 {
-		t.Fatalf("replayed features = %v, %v", f, ok)
 	}
 	if _, ok := c2.Verdict(testKey(2)); !ok {
 		t.Fatal("second key lost across restart")
@@ -95,16 +92,14 @@ func TestCorruptTailRecovery(t *testing.T) {
 			}
 		},
 		"garbage frame appended": func(path string, t *testing.T) {
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Write([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
+			appendBytes(t, path, []byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
+		},
+		// A length- and CRC-intact record of a kind replay does not know
+		// is corruption too (only the retired kind 2 is skipped), so an
+		// intact verdict behind it must not replay.
+		"unknown record kind": func(path string, t *testing.T) {
+			appendBytes(t, path, frame(append([]byte{3}, make([]byte, 80)...)))
+			appendBytes(t, path, appendRecord(nil, &entry{key: testKey(4), verdict: Verdict{Class: 4}}))
 		},
 	}
 	for name, corrupt := range corruptions {
@@ -121,6 +116,9 @@ func TestCorruptTailRecovery(t *testing.T) {
 			c2 := openTemp(t, dir, 0)
 			if _, ok := c2.Verdict(testKey(1)); !ok {
 				t.Fatal("intact record lost")
+			}
+			if _, ok := c2.Verdict(testKey(4)); ok {
+				t.Fatal("a record behind the corruption replayed")
 			}
 			// Appending after recovery must land after the truncated
 			// tail, not behind garbage.
@@ -139,6 +137,121 @@ func TestCorruptTailRecovery(t *testing.T) {
 	}
 }
 
+// twoTierFixture is a log written by the cache while it still had a
+// feature tier. Keys 1-3 each have a feature record (kind 2) written
+// before their verdict, as every miss wrote them; key 2's verdict is
+// later overwritten; a trailing feature record for key 4 has no verdict
+// (a crash between the two writes of a miss).
+const twoTierFixture = "testdata/two_tier_v1.log"
+
+// twoTierVerdicts is the latest verdict per key in twoTierFixture.
+var twoTierVerdicts = map[Key]Verdict{
+	testKey(1): {Adversarial: true, RE: 0.1 + 0.2, Class: 3},
+	testKey(2): {RE: 12345.678, Class: 1},
+	testKey(3): {Adversarial: true, RE: 1e-300, Class: 2},
+}
+
+// TestReplaySkipsRetiredFeatureRecords pins the upgrade path for cache
+// directories written before the feature tier was removed: every
+// verdict replays with its exact value, the retired records are
+// skipped rather than truncated away, and a rotation drops them.
+func TestReplaySkipsRetiredFeatureRecords(t *testing.T) {
+	raw, err := os.ReadFile(twoTierFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(recordKinds(t, raw)), "\x02\x01\x02\x01\x02\x01\x01\x02"; got != want {
+		t.Fatalf("fixture record kinds = %q, want %q", got, want)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, logName)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	checkVerdicts := func(c *Cache) {
+		t.Helper()
+		if c.Len() != len(twoTierVerdicts) {
+			t.Fatalf("Len = %d, want %d", c.Len(), len(twoTierVerdicts))
+		}
+		for k, want := range twoTierVerdicts {
+			if got, ok := c.Verdict(k); !ok || got != want {
+				t.Fatalf("key %d: verdict = %+v, %v; want %+v", k.Salt, got, ok, want)
+			}
+		}
+		if _, ok := c.Verdict(testKey(4)); ok {
+			t.Fatal("a key with only a feature record replayed as a verdict")
+		}
+	}
+
+	c := openTemp(t, dir, 0)
+	checkVerdicts(c)
+	if c.logBytes != int64(len(raw)) {
+		t.Fatalf("replay stopped at byte %d of %d", c.logBytes, len(raw))
+	}
+	closeCache(t, c)
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, raw) {
+		t.Fatalf("opening the log changed it (%d -> %d bytes, err %v)", len(raw), len(after), err)
+	}
+
+	c = openTemp(t, dir, 0)
+	c.mu.Lock()
+	c.maybeRotateLockedForTest()
+	c.mu.Unlock()
+	closeCache(t, c)
+	rotated, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(recordKinds(t, rotated)), "\x01\x01\x01"; got != want {
+		t.Fatalf("rotated record kinds = %q, want %q", got, want)
+	}
+	c = openTemp(t, dir, 0)
+	defer closeCache(t, c)
+	checkVerdicts(c)
+}
+
+// recordKinds returns the kind byte of every framed record in a log.
+func recordKinds(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	if len(raw) < 8 || string(raw[:4]) != logMagic {
+		t.Fatal("not a cache log")
+	}
+	var kinds []byte
+	for off := 8; off < len(raw); {
+		if off+8 > len(raw) {
+			t.Fatalf("torn frame at byte %d", off)
+		}
+		n := int(binary.LittleEndian.Uint32(raw[off:]))
+		if n == 0 || off+8+n > len(raw) {
+			t.Fatalf("bad record length %d at byte %d", n, off)
+		}
+		kinds = append(kinds, raw[off+8])
+		off += 8 + n
+	}
+	return kinds
+}
+
+// frame wraps payload in a record frame with a valid length and CRC.
+func frame(payload []byte) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	return append(out, payload...)
+}
+
+func appendBytes(t *testing.T, path string, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestNotACacheLog(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, logName), []byte("definitely not a log"), 0o644); err != nil {
@@ -150,21 +263,16 @@ func TestNotACacheLog(t *testing.T) {
 }
 
 // TestRotationCompactsDeadWeight overwrites one key until the log
-// passes the rotation threshold, then checks the log shrank back to
-// roughly one live record and still replays correctly.
+// passes the rotation threshold, then checks the log was compacted and
+// still replays the last write.
 func TestRotationCompactsDeadWeight(t *testing.T) {
 	dir := t.TempDir()
 	c := openTemp(t, dir, 0)
-	feats := make([]float64, 4096) // ~32KB per record
-	for i := range feats {
-		feats[i] = float64(i)
-	}
-	// ~64 overwrites of a 32KB record pass the 1MB threshold with only
-	// one record live.
-	for i := 0; i < 80; i++ {
-		feats[0] = float64(i)
-		put := append([]float64(nil), feats...)
-		c.PutFeatures(testKey(1), put)
+	// A verdict record is 94 bytes, so ~11.2k overwrites pass the 1MB
+	// threshold with only one record live.
+	const writes = 12000
+	for i := 0; i < writes; i++ {
+		c.PutVerdict(testKey(1), Verdict{RE: float64(i)})
 	}
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
@@ -180,9 +288,9 @@ func TestRotationCompactsDeadWeight(t *testing.T) {
 
 	c2 := openTemp(t, dir, 0)
 	defer closeCache(t, c2)
-	f, ok := c2.Features(testKey(1))
-	if !ok || f[0] != 79 {
-		t.Fatalf("post-rotation replay = %v, %v; want last write", f[:1], ok)
+	v, ok := c2.Verdict(testKey(1))
+	if !ok || v.RE != writes-1 {
+		t.Fatalf("post-rotation replay = %+v, %v; want last write", v, ok)
 	}
 	if c2.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c2.Len())
@@ -221,7 +329,7 @@ func TestRotationPreservesLRUOrder(t *testing.T) {
 
 // maybeRotateLockedForTest forces a rotation regardless of thresholds.
 func (c *Cache) maybeRotateLockedForTest() {
-	c.logBytes = rotateThreshold + 2*c.live
+	c.logBytes = rotateThreshold + 2*c.liveLocked()
 	c.maybeRotateLocked()
 }
 

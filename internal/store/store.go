@@ -1,13 +1,13 @@
-// Package store is a crash-safe, content-addressed result cache for
-// the serving path: it memoizes extracted feature vectors and final
-// verdicts keyed by (content hash, salt, model fingerprint), so a
-// repeat submission of byte-identical input skips the entire
-// extract+score pipeline and becomes a hash lookup.
+// Package store is a crash-safe, content-addressed verdict cache for
+// the serving path: it memoizes final verdicts keyed by (content hash,
+// salt, model fingerprint), so a repeat submission of byte-identical
+// input skips the entire extract+score pipeline and becomes a hash
+// lookup.
 //
 // The design is an append-only record log with an in-memory index:
 //
-//   - Every Put appends one length-prefixed, CRC-guarded record to
-//     <dir>/cache.log and inserts the value into an in-memory map.
+//   - Every PutVerdict appends one length-prefixed, CRC-guarded record
+//     to <dir>/cache.log and inserts the verdict into an in-memory map.
 //     Lookups never touch the disk.
 //   - On Open the log is replayed to rebuild the index. A torn or
 //     corrupted tail record (a crash mid-append) ends the replay; the
@@ -75,42 +75,26 @@ type Config struct {
 // DefaultMaxBytes is the byte budget used when Config.MaxBytes is unset.
 const DefaultMaxBytes = 256 << 20
 
-// entry kinds, also the on-disk record kind byte.
-const (
-	kindVerdict  byte = 1
-	kindFeatures byte = 2
-)
-
-// indexKey addresses one entry: the two tiers of the same Key are
-// independent entries with independent recency.
-type indexKey struct {
-	key  Key
-	kind byte
-}
-
-// entry is one cached value, intrusively linked into the LRU list
+// entry is one cached verdict, intrusively linked into the LRU list
 // (head side is most recently used).
 type entry struct {
-	ik         indexKey
-	verdict    Verdict   // kind == kindVerdict
-	feats      []float64 // kind == kindFeatures; read-only once stored
-	size       int64     // accounted bytes
+	key        Key
+	verdict    Verdict
 	prev, next *entry
 }
 
-// entryOverhead approximates the fixed per-entry cost (key, pointers,
-// map slot) charged against the byte budget on top of the payload.
+// entryOverhead approximates the per-entry cost (key, verdict,
+// pointers, map slot) charged against the byte budget.
 const entryOverhead = 128
 
-// Cache is the content-addressed result cache. See the package comment
+// Cache is the content-addressed verdict cache. See the package comment
 // for the design; construct with Open.
 type Cache struct {
 	mu      sync.Mutex
 	max     int64
-	index   map[indexKey]*entry
+	index   map[Key]*entry
 	head    *entry // most recently used
 	tail    *entry // least recently used
-	live    int64  // accounted bytes of all indexed entries
 	flights map[Key]*Flight
 
 	// log state; f is nil when memory-only or after an I/O error
@@ -137,7 +121,7 @@ func Open(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{
 		max:     cfg.MaxBytes,
-		index:   make(map[indexKey]*entry),
+		index:   make(map[Key]*entry),
 		flights: make(map[Key]*Flight),
 		dir:     cfg.Dir,
 	}
@@ -155,7 +139,7 @@ func Open(cfg Config) (*Cache, error) {
 			return nil, err
 		}
 	}
-	c.bytes.Set(float64(c.live))
+	c.bytes.Set(float64(c.liveLocked()))
 	return c, nil
 }
 
@@ -165,7 +149,7 @@ func (c *Cache) Verdict(k Key) (Verdict, bool) {
 		return Verdict{}, false
 	}
 	c.mu.Lock()
-	e, ok := c.index[indexKey{k, kindVerdict}]
+	e, ok := c.index[k]
 	var v Verdict
 	if ok {
 		c.touch(e)
@@ -180,74 +164,32 @@ func (c *Cache) Verdict(k Key) (Verdict, bool) {
 	return v, ok
 }
 
-// Features returns the cached feature blob for k, refreshing its
-// recency. The returned slice is shared with the cache and MUST be
-// treated as read-only.
-func (c *Cache) Features(k Key) ([]float64, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	e, ok := c.index[indexKey{k, kindFeatures}]
-	var f []float64
-	if ok {
-		c.touch(e)
-		f = e.feats
-	}
-	c.mu.Unlock()
-	if ok {
-		c.hits.Inc()
-	} else {
-		c.misses.Inc()
-	}
-	return f, ok
-}
-
-// PutVerdict stores the verdict for k. Best-effort on the durability
-// side: an append error demotes the cache to memory-only (see Err).
+// PutVerdict stores the verdict for k, evicts past the budget, and
+// appends the record to the log. A budget too small for one entry
+// caches nothing. Best-effort on the durability side: an append error
+// demotes the cache to memory-only (see Err).
 func (c *Cache) PutVerdict(k Key, v Verdict) {
-	if c == nil {
-		return
-	}
-	c.put(&entry{ik: indexKey{k, kindVerdict}, verdict: v, size: entryOverhead})
-}
-
-// PutFeatures stores the feature blob for k, taking ownership of vals
-// (the caller must not mutate it afterwards).
-func (c *Cache) PutFeatures(k Key, vals []float64) {
-	if c == nil {
-		return
-	}
-	c.put(&entry{ik: indexKey{k, kindFeatures}, feats: vals, size: entryOverhead + 8*int64(len(vals))})
-}
-
-// put inserts e, evicts past the budget, and appends the record to the
-// log. An entry that alone exceeds the whole budget is dropped.
-func (c *Cache) put(e *entry) {
-	if e.size > c.max {
+	if c == nil || entryOverhead > c.max {
 		return
 	}
 	c.mu.Lock()
-	c.insert(e, true)
+	c.insert(&entry{key: k, verdict: v}, true)
+	live := c.liveLocked()
 	c.mu.Unlock()
-	c.bytes.Set(float64(c.liveBytes()))
+	c.bytes.Set(float64(live))
 }
 
-// insert is put under c.mu; replay reuses it with persist=false.
+// insert is PutVerdict under c.mu; replay reuses it with persist=false.
 func (c *Cache) insert(e *entry, persist bool) {
-	if old, ok := c.index[e.ik]; ok {
+	if old, ok := c.index[e.key]; ok {
 		c.unlink(old)
-		delete(c.index, old.ik)
-		c.live -= old.size
 	}
-	c.index[e.ik] = e
+	c.index[e.key] = e
 	c.linkFront(e)
-	c.live += e.size
-	for c.live > c.max && c.tail != nil {
+	for c.liveLocked() > c.max {
 		lru := c.tail
 		c.unlink(lru)
-		delete(c.index, lru.ik)
-		c.live -= lru.size
+		delete(c.index, lru.key)
 		c.evicts.Inc()
 	}
 	if persist && c.f != nil {
@@ -290,14 +232,11 @@ func (c *Cache) unlink(e *entry) {
 	e.prev, e.next = nil, nil
 }
 
-// liveBytes returns the accounted in-memory bytes.
-func (c *Cache) liveBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.live
-}
+// liveLocked returns the accounted in-memory bytes. Caller holds c.mu
+// (or owns c exclusively, as Open does).
+func (c *Cache) liveLocked() int64 { return int64(len(c.index)) * entryOverhead }
 
-// Len returns the number of cached entries (both tiers).
+// Len returns the number of cached verdicts.
 func (c *Cache) Len() int {
 	if c == nil {
 		return 0
@@ -367,7 +306,7 @@ func (c *Cache) Join(k Key) (v Verdict, hit bool, fl *Flight, leader bool) {
 		return Verdict{}, false, nil, true
 	}
 	c.mu.Lock()
-	if e, ok := c.index[indexKey{k, kindVerdict}]; ok {
+	if e, ok := c.index[k]; ok {
 		c.touch(e)
 		v = e.verdict
 		c.mu.Unlock()

@@ -39,21 +39,8 @@ func TestMemoryRoundTrip(t *testing.T) {
 		t.Fatalf("Verdict = %+v, %v; want %+v, true", got, ok, want)
 	}
 
-	feats := []float64{1, 2.5, -3, 0}
-	c.PutFeatures(k, feats)
-	f, ok := c.Features(k)
-	if !ok || len(f) != len(feats) {
-		t.Fatalf("Features = %v, %v", f, ok)
-	}
-	for i := range feats {
-		if f[i] != feats[i] {
-			t.Fatalf("feats[%d] = %v want %v", i, f[i], feats[i])
-		}
-	}
-
-	// The two tiers are independent entries under one Key.
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", c.Len())
 	}
 
 	// A different salt must miss.
@@ -73,11 +60,7 @@ func TestMemoryRoundTrip(t *testing.T) {
 func TestNilCacheIsInert(t *testing.T) {
 	var c *Cache
 	c.PutVerdict(testKey(1), Verdict{})
-	c.PutFeatures(testKey(1), []float64{1})
 	if _, ok := c.Verdict(testKey(1)); ok {
-		t.Fatal("nil cache hit")
-	}
-	if _, ok := c.Features(testKey(1)); ok {
 		t.Fatal("nil cache hit")
 	}
 	if _, hit, fl, leader := c.Join(testKey(1)); hit || fl != nil || !leader {
@@ -186,23 +169,25 @@ func TestLRUAgainstReferenceModel(t *testing.T) {
 }
 
 func TestOversizeEntryDropped(t *testing.T) {
-	c, err := Open(Config{MaxBytes: entryOverhead + 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
+	for _, tc := range []struct {
+		budget int64
+		cached bool
+	}{
+		{entryOverhead - 1, false}, // smaller than one entry
+		{entryOverhead, true},
+	} {
+		c, err := Open(Config{MaxBytes: tc.budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := testKey(9)
+		c.PutVerdict(k, Verdict{Class: 2})
+		if _, ok := c.Verdict(k); ok != tc.cached {
+			t.Fatalf("budget %d: cached = %v, want %v", tc.budget, ok, tc.cached)
+		}
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}()
-	k := testKey(9)
-	c.PutFeatures(k, make([]float64, 1000)) // 8128 bytes: larger than the whole budget
-	if _, ok := c.Features(k); ok {
-		t.Fatal("oversize entry was cached")
-	}
-	c.PutVerdict(k, Verdict{Class: 2})
-	if _, ok := c.Verdict(k); !ok {
-		t.Fatal("normal entry rejected")
 	}
 }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full per-PR verification: build, tests, vet, formatting, the
-# allocation and determinism pins at a second core count, the repo's
-# own nine-analyzer lint pass, and the race detector over every package
-# with concurrency. Mirrors the "Full verify" block in ROADMAP.md.
+# allocation and determinism pins at a second core count, the benchmark
+# module's vet and tests, the repo's own nine-analyzer lint pass, and
+# the race detector over every package with concurrency. Mirrors the
+# "Full verify" block in ROADMAP.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,6 +30,12 @@ done
 
 echo "== go vet"
 go vet ./...
+
+# perfbench is its own module (replace soteria => ../), so ./... above
+# never compiles it; vet and test it here so a facade change that
+# breaks the benchmark fails verification, not the benchmark run.
+echo "== perfbench module"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== gofmt"
 unformatted="$(gofmt -l .)"

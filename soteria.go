@@ -160,10 +160,10 @@ func (s *System) NewBatcher(cfg BatcherConfig) *Batcher {
 // replacement.
 func (s *System) Pipeline() *core.Pipeline { return s.pipeline }
 
-// Cache is a crash-safe, content-addressed result cache: it memoizes
-// feature vectors and verdicts keyed by (content hash, salt, model
-// fingerprint), turning repeat submissions of identical input into
-// hash lookups. See OpenCache and System.AttachCache.
+// Cache is a crash-safe, content-addressed verdict cache: it memoizes
+// verdicts keyed by (content hash, salt, model fingerprint), turning
+// repeat submissions of identical input into hash lookups. See
+// OpenCache and System.AttachCache.
 type Cache = store.Cache
 
 // CacheConfig configures OpenCache: an on-disk directory (empty for
