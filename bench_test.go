@@ -11,6 +11,7 @@ package soteria_test
 // paper's Fig. 3 describes.
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 
@@ -96,19 +97,21 @@ func BenchmarkDisassemble64(b *testing.B) {
 	}
 }
 
-func BenchmarkLabelingDBL64(b *testing.B) {
-	s := benchSample(b, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		labeling.DensityBased(s.CFG.G, s.CFG.EntryNode())
-	}
-}
-
-func BenchmarkLabelingLBL64(b *testing.B) {
-	s := benchSample(b, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		labeling.LevelBased(s.CFG.G, s.CFG.EntryNode())
+// BenchmarkLabelingBoth times both labelings of one CFG on a warmed
+// workspace, as extraction runs them, at Gafgyt's median size and
+// Table III's largest.
+func BenchmarkLabelingBoth(b *testing.B) {
+	for _, nodes := range []int{64, 443} {
+		s := benchSample(b, nodes)
+		b.Run(strconv.Itoa(nodes), func(b *testing.B) {
+			var w labeling.Workspace
+			w.Both(s.CFG.G, s.CFG.EntryNode())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Both(s.CFG.G, s.CFG.EntryNode())
+			}
+		})
 	}
 }
 
@@ -150,8 +153,8 @@ func BenchmarkGramCounting64(b *testing.B) {
 }
 
 // BenchmarkExtractBatch measures steady-state batch throughput: the
-// pooled scratch buffers and labeling memo make repeat extraction of a
-// corpus near allocation-free.
+// pooled scratch (labeling workspace, walk and gram buffers) makes
+// each extraction allocate little beyond its output vectors.
 func BenchmarkExtractBatch(b *testing.B) {
 	env := benchEnvironment(b)
 	samples := env.TestSamples()

@@ -20,6 +20,7 @@ import (
 	"math/rand"
 
 	"soteria/internal/disasm"
+	"soteria/internal/graph"
 	"soteria/internal/nn"
 )
 
@@ -68,8 +69,7 @@ func GraphFeatures(c *disasm.CFG) []float64 {
 	out[6] = float64(g.Diameter())
 	out[7] = g.AverageShortestPath()
 
-	bc := g.Betweenness()
-	cc := g.Closeness()
+	bc, cc := new(graph.Workspace).Centrality(g)
 	out[8], out[9] = meanMax(bc)
 	out[10], out[11] = meanMax(cc)
 

@@ -117,6 +117,24 @@ func TestAnalyzeBatchErrors(t *testing.T) {
 	}
 }
 
+// TestAnalyzeBinaryBatchReportsLowestBadSample pins the parallel
+// disassembly's error: whichever worker fails first, the batch reports
+// the lowest failing index with the serial loop's message.
+func TestAnalyzeBinaryBatchReportsLowestBadSample(t *testing.T) {
+	pipes, corpus := batchEnv(t)
+	good, err := corpus[0].Binary.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins := [][]byte{good, []byte("junk"), good, []byte("more junk"), good}
+	for i := 0; i < 10; i++ {
+		_, err := pipes[false].AnalyzeBinaryBatch(bins, make([]int64, len(bins)))
+		if err == nil || !strings.HasPrefix(err.Error(), "core: sample 1: core: parse binary: ") {
+			t.Fatalf("error = %v, want sample 1's parse failure", err)
+		}
+	}
+}
+
 // TestBatcherMatchesAnalyze drives the micro-batching front door from
 // many concurrent submitters (run it with -race) and requires every
 // coalesced decision to be bit-identical to a lone Analyze call with

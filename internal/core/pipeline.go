@@ -619,25 +619,31 @@ func (p *Pipeline) AnalyzeBinaryBatch(bins [][]byte, salts []int64) ([]*Decision
 	return out, nil
 }
 
-// disassembleAll parses and disassembles every binary; a failure
-// aborts with the sample's index. idx, when non-nil, maps local
-// positions back to the caller's original indices for error messages.
+// disassembleAll parses and disassembles every binary in parallel; a
+// failure aborts with the lowest failing sample's index. idx, when
+// non-nil, maps local positions back to the caller's original indices
+// for error messages.
 func (p *Pipeline) disassembleAll(bins [][]byte, idx []int) ([]*disasm.CFG, error) {
 	cfgs := make([]*disasm.CFG, len(bins))
-	for i, bin := range bins {
+	errs := make([]error, len(bins))
+	par.For(len(bins), func(i int) {
 		n := i
 		if idx != nil {
 			n = idx[i]
 		}
-		parsed, err := parseBinary(bin)
+		parsed, err := parseBinary(bins[i])
 		if err != nil {
-			return nil, fmt.Errorf("core: sample %d: %w", n, err)
+			errs[i] = fmt.Errorf("core: sample %d: %w", n, err)
+			return
 		}
-		g, err := disasm.Disassemble(parsed)
+		if cfgs[i], err = disasm.Disassemble(parsed); err != nil {
+			errs[i] = fmt.Errorf("core: sample %d: disassemble: %w", n, err)
+		}
+	})
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("core: sample %d: disassemble: %w", n, err)
+			return nil, err
 		}
-		cfgs[i] = g
 	}
 	return cfgs, nil
 }

@@ -162,20 +162,32 @@ func TestExtractAllocsBounded(t *testing.T) {
 	cfg := smallConfig()
 	e := NewExtractor(cfg)
 	e.Fit(cfgs)
-	c := cfgs[0]
-	if _, err := e.Extract(c, 1); err != nil { // warm pool, cache, buckets
+	// Every served request brings a freshly disassembled CFG, so the pin
+	// cycles fresh copies of one: nothing keyed by CFG or graph pointer
+	// can hit, just as when serving.
+	const runs = 20
+	fresh := make([]*disasm.CFG, runs+2) // one warm-up, AllocsPerRun's own warm-up, runs
+	for i := range fresh {
+		c := *cfgs[0]
+		c.G = cfgs[0].G.Clone()
+		fresh[i] = &c
+	}
+	if _, err := e.Extract(fresh[0], 1); err != nil { // warm pool and buckets
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := e.Extract(c, 2); err != nil {
+	next := 1
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := e.Extract(fresh[next], 2); err != nil {
 			t.Fatal(err)
 		}
+		next++
 	})
-	// Steady state allocates only the output: the Vectors struct, the
+	// Labeling, walks and counting run in pooled scratch, so steady
+	// state allocates little beyond the output: the Vectors struct, the
 	// per-walk / aggregate / combined float slices, and their holders —
-	// roughly 3*WalkCount + 10. The legacy path allocated per gram
-	// occurrence (thousands per sample); this bound locks the regression
-	// out with a little headroom for runtime noise.
+	// roughly 3*WalkCount + 10. Computing centrality with fresh
+	// per-call buffers alone costs thousands; this bound locks that out
+	// with a little headroom for runtime noise.
 	budget := float64(4*cfg.WalkCount + 16)
 	if allocs > budget {
 		t.Fatalf("Extract allocates %.0f/op, budget %.0f", allocs, budget)
@@ -196,7 +208,8 @@ func TestExtractBatchConcurrentAndDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hammer the shared pool and labeling cache from many goroutines.
+	// Hammer the shared scratch pool, labeling workspaces included, from
+	// many goroutines.
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -8,13 +8,12 @@
 // one combined 1x1000 vector (walk-aggregated DBL ++ LBL) consumed by
 // the autoencoder detector.
 //
-// The hot path is allocation-free in steady state: grams are counted on
-// packed uint64 keys (see ngram.Pack), walk traces and gram counters
-// live in per-worker scratch buffers recycled through a sync.Pool, and
-// per-CFG labelings are memoized so pipelines that fit and then extract
-// the same corpus label each sample once. Samples that cannot pack
-// (|V| > 2^15 or n-gram lengths above 4) fall back to the legacy
-// string-keyed path, which produces bit-identical vectors.
+// The hot path allocates little beyond its output: grams are counted on
+// packed uint64 keys (see ngram.Pack), and the labeling workspace, walk
+// traces and gram counters live in per-worker scratch recycled through
+// a sync.Pool. Samples that cannot pack (|V| > 2^15 or n-gram lengths
+// above 4) fall back to the legacy string-keyed path, which produces
+// bit-identical vectors.
 package features
 
 import (
@@ -78,20 +77,13 @@ type Vectors struct {
 	CombinedWalks [][]float64
 }
 
-// labelPair holds both labelings of one CFG.
-type labelPair struct {
-	dbl, lbl *labeling.Labels
-}
-
-// labelCacheMax bounds the labeling memo; on overflow the whole cache
-// is dropped (labelings are recomputable, so eviction only costs time).
-const labelCacheMax = 4096
-
 // scratch is one worker's reusable extraction state. Everything here is
-// capacity that survives between samples: the seeded RNG, the walker's
-// adjacency arena, the walk-trace buffer, and the gram counters.
+// capacity that survives between samples: the seeded RNG, the labeling
+// workspace, the walker's adjacency arena, the walk-trace buffer, and
+// the gram counters.
 type scratch struct {
 	rng    *rand.Rand
+	labels labeling.Workspace
 	walker walk.Walker
 	trace  []int
 	walk   *ngram.GramCounter
@@ -108,9 +100,6 @@ type Extractor struct {
 	cfg Config
 	dbl *ngram.Vectorizer
 	lbl *ngram.Vectorizer
-
-	mu     sync.Mutex
-	labels map[*disasm.CFG]labelPair
 
 	pool sync.Pool // *scratch
 }
@@ -132,10 +121,7 @@ func NewExtractor(cfg Config) *Extractor {
 	if cfg.TopK <= 0 {
 		cfg.TopK = ngram.DefaultTopK
 	}
-	e := &Extractor{
-		cfg:    cfg,
-		labels: make(map[*disasm.CFG]labelPair),
-	}
+	e := &Extractor{cfg: cfg}
 	e.pool.New = func() any {
 		return &scratch{
 			rng:  rand.New(rand.NewSource(1)),
@@ -170,28 +156,6 @@ func (e *Extractor) rngFor(salt int64) *rand.Rand {
 	return rand.New(rand.NewSource(e.walkSeed(salt)))
 }
 
-// labelsFor returns the sample's memoized DBL and LBL labelings,
-// computing both in one ranking pass on a miss. Memoization makes
-// Fit-then-Extract pipelines (core.Train) label each CFG once instead
-// of twice; CFGs are treated as immutable after disassembly.
-func (e *Extractor) labelsFor(c *disasm.CFG) labelPair {
-	e.mu.Lock()
-	p, ok := e.labels[c]
-	e.mu.Unlock()
-	if ok {
-		return p
-	}
-	dbl, lbl := labeling.Both(c.G, c.EntryNode())
-	p = labelPair{dbl: dbl, lbl: lbl}
-	e.mu.Lock()
-	if len(e.labels) >= labelCacheMax {
-		clear(e.labels)
-	}
-	e.labels[c] = p
-	e.mu.Unlock()
-	return p
-}
-
 // packed reports whether the sample can take the packed-key hot path.
 func (e *Extractor) packed(c *disasm.CFG) bool {
 	return ngram.Packable(c.G.NumNodes()-1, e.cfg.Ns)
@@ -209,9 +173,9 @@ func (e *Extractor) fitGrams(c *disasm.CFG, salt int64) (dblAgg, lblAgg *ngram.G
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 	sc.rng.Seed(e.walkSeed(salt))
-	lp := e.labelsFor(c)
-	sc.walker.Reset(c.G)
 	entry := c.EntryNode()
+	dbl, lbl := sc.labels.Both(c.G, entry)
+	sc.walker.Reset(c.G)
 	steps := e.cfg.LengthFactor * c.G.NumNodes()
 
 	count := func(perm []int) *ngram.GramCounter {
@@ -225,7 +189,7 @@ func (e *Extractor) fitGrams(c *disasm.CFG, salt int64) (dblAgg, lblAgg *ngram.G
 	// DBL walks first, then LBL, sharing one RNG stream — the same
 	// consumption order as extraction, so fit and extract see the same
 	// walks for a given (Seed, salt).
-	return count(lp.dbl.Perm), count(lp.lbl.Perm)
+	return count(dbl.Perm), count(lbl.Perm)
 }
 
 // sampleGrams is the legacy string-keyed stage, kept as the fallback
@@ -234,7 +198,7 @@ func (e *Extractor) fitGrams(c *disasm.CFG, salt int64) (dblAgg, lblAgg *ngram.G
 func (e *Extractor) sampleGrams(c *disasm.CFG, salt int64) (dblWalks, lblWalks []map[string]int) {
 	rng := e.rngFor(salt)
 	entry := c.EntryNode()
-	lp := e.labelsFor(c)
+	dbl, lbl := labeling.Both(c.G, entry)
 
 	traceGrams := func(perm []int) []map[string]int {
 		traces := walk.Walks(c.G, entry, perm, e.cfg.WalkCount, e.cfg.LengthFactor, rng)
@@ -244,7 +208,7 @@ func (e *Extractor) sampleGrams(c *disasm.CFG, salt int64) (dblWalks, lblWalks [
 		}
 		return out
 	}
-	return traceGrams(lp.dbl.Perm), traceGrams(lp.lbl.Perm)
+	return traceGrams(dbl.Perm), traceGrams(lbl.Perm)
 }
 
 // aggregate sums per-walk gram counts into one map.
@@ -327,17 +291,17 @@ func (e *Extractor) ExtractInto(v *Vectors, c *disasm.CFG, salt int64) (*Vectors
 	return e.extractStrings(v, c, salt), nil
 }
 
-// extractPacked is the allocation-lean hot path: walks append into a
-// pooled trace buffer, grams are counted on packed keys in pooled
-// counters, aggregates land in pooled scratch, and the output vectors
-// reuse v's storage.
+// extractPacked is the allocation-lean hot path: labeling runs in the
+// pooled workspace, walks append into a pooled trace buffer, grams are
+// counted on packed keys in pooled counters, aggregates land in pooled
+// scratch, and the output vectors reuse v's storage.
 func (e *Extractor) extractPacked(v *Vectors, c *disasm.CFG, salt int64) *Vectors {
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 	sc.rng.Seed(e.walkSeed(salt))
-	lp := e.labelsFor(c)
-	sc.walker.Reset(c.G)
 	entry := c.EntryNode()
+	dbl, lbl := sc.labels.Both(c.G, entry)
+	sc.walker.Reset(c.G)
 	steps := e.cfg.LengthFactor * c.G.NumNodes()
 
 	wc := e.cfg.WalkCount
@@ -354,8 +318,8 @@ func (e *Extractor) extractPacked(v *Vectors, c *disasm.CFG, salt int64) *Vector
 		}
 		return vec.VectorPackedInto(agg, sc.agg)
 	}
-	sc.aggDBL = runLabeling(e.dbl, lp.dbl.Perm, v.DBL, sc.aggDBL)
-	sc.aggLBL = runLabeling(e.lbl, lp.lbl.Perm, v.LBL, sc.aggLBL)
+	sc.aggDBL = runLabeling(e.dbl, dbl.Perm, v.DBL, sc.aggDBL)
+	sc.aggLBL = runLabeling(e.lbl, lbl.Perm, v.LBL, sc.aggLBL)
 	fillCombined(v, sc.aggDBL, sc.aggLBL)
 	return v
 }

@@ -130,12 +130,3 @@ func TestPropertyBetweennessDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkBetweenness100(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := randomGraph(rng, 100, 300)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Betweenness()
-	}
-}

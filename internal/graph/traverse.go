@@ -5,7 +5,13 @@ package graph
 // nodes get level -1. This is the "level" of the paper's level-based
 // labeling (the paper counts levels from 1; callers add the offset).
 func (g *Graph) BFSLevels(entry int) []int {
-	levels := make([]int, g.NumNodes())
+	return new(Workspace).BFSLevels(g, entry)
+}
+
+// BFSLevels is Graph.BFSLevels in a slice that belongs to w.
+func (w *Workspace) BFSLevels(g *Graph, entry int) []int {
+	levels := resize(w.levels, g.NumNodes())
+	w.levels = levels
 	for i := range levels {
 		levels[i] = -1
 	}
@@ -13,10 +19,9 @@ func (g *Graph) BFSLevels(entry int) []int {
 		return levels
 	}
 	levels[entry] = 0
-	queue := []int{entry}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue := append(w.order[:0], entry)
+	for h := 0; h < len(queue); h++ {
+		u := queue[h]
 		for _, v := range g.succsRef(u) {
 			if levels[v] == -1 {
 				levels[v] = levels[u] + 1
@@ -24,6 +29,7 @@ func (g *Graph) BFSLevels(entry int) []int {
 			}
 		}
 	}
+	w.order = queue
 	return levels
 }
 

@@ -17,8 +17,10 @@
 package labeling
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"soteria/internal/graph"
 )
@@ -66,49 +68,71 @@ type nodeKey struct {
 	level   int
 }
 
-func keysFor(g *graph.Graph, entry int) []nodeKey {
-	cf := g.CentralityFactor()
-	levels := g.BFSLevels(entry)
-	keys := make([]nodeKey, g.NumNodes())
-	for v := range keys {
-		lvl := levels[v]
-		if lvl == -1 {
-			lvl = math.MaxInt32 // unreachable nodes rank last on level
-		}
-		keys[v] = nodeKey{id: v, density: g.NodeDensity(v), cf: cf[v], level: lvl}
-	}
-	return keys
-}
-
 // byDensity ranks higher density first, then higher centrality factor,
 // then smaller level (closer to entry), then smaller node ID.
-func byDensity(a, b nodeKey) bool {
-	if a.density != b.density {
-		return a.density > b.density
+func byDensity(a, b nodeKey) int {
+	switch {
+	case a.density != b.density:
+		return higherFirst(a.density, b.density)
+	case a.cf != b.cf:
+		return higherFirst(a.cf, b.cf)
+	case a.level != b.level:
+		return cmp.Compare(a.level, b.level)
 	}
-	if a.cf != b.cf {
-		return a.cf > b.cf
-	}
-	if a.level != b.level {
-		return a.level < b.level
-	}
-	return a.id < b.id
+	return cmp.Compare(a.id, b.id)
 }
 
 // byLevel ranks smaller level first, then the density cascade.
-func byLevel(a, b nodeKey) bool {
+func byLevel(a, b nodeKey) int {
 	if a.level != b.level {
-		return a.level < b.level
+		return cmp.Compare(a.level, b.level)
 	}
 	return byDensity(a, b)
 }
 
-func build(keys []nodeKey, less func(a, b nodeKey) bool) *Labels {
-	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
-	l := &Labels{
-		Perm:  make([]int, len(keys)),
-		Order: make([]int, len(keys)),
+// higherFirst orders x before y when x > y; callers pass x != y.
+func higherFirst(x, y float64) int {
+	if x > y {
+		return -1
 	}
+	return 1
+}
+
+// Workspace is reusable labeling state: the graph workspace behind the
+// centrality factor and BFS levels, the per-node ranking keys, and both
+// labelings. A warmed workspace labels a CFG without allocating. The
+// zero value is ready to use; a Workspace is not safe for concurrent
+// use.
+type Workspace struct {
+	g              graph.Workspace
+	byDBL, byLBL   []nodeKey
+	dblOut, lblOut Labels
+}
+
+// Both computes the DBL and LBL labelings of g with the given entry
+// node from one pass over the shared ranking ingredients (density,
+// centrality factor, BFS levels), which dominate labeling cost. Both
+// Labels belong to w and are overwritten by its next call.
+func (w *Workspace) Both(g *graph.Graph, entry int) (dbl, lbl *Labels) {
+	cf := w.g.CentralityFactor(g)
+	levels := w.g.BFSLevels(g, entry)
+	w.byDBL = resize(w.byDBL, g.NumNodes())
+	for v := range w.byDBL {
+		lvl := levels[v]
+		if lvl == -1 {
+			lvl = math.MaxInt32 // unreachable nodes rank last on level
+		}
+		w.byDBL[v] = nodeKey{id: v, density: g.NodeDensity(v), cf: cf[v], level: lvl}
+	}
+	w.byLBL = append(w.byLBL[:0], w.byDBL...)
+	return rank(&w.dblOut, w.byDBL, byDensity), rank(&w.lblOut, w.byLBL, byLevel)
+}
+
+// rank sorts keys into label order and writes the bijection into l.
+func rank(l *Labels, keys []nodeKey, order func(a, b nodeKey) int) *Labels {
+	slices.SortFunc(keys, order)
+	l.Perm = resize(l.Perm, len(keys))
+	l.Order = resize(l.Order, len(keys))
 	for label, k := range keys {
 		l.Perm[k.id] = label
 		l.Order[label] = k.id
@@ -116,26 +140,43 @@ func build(keys []nodeKey, less func(a, b nodeKey) bool) *Labels {
 	return l
 }
 
+// resize returns s with length n, reusing its capacity. Contents are
+// unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// workspaces backs the package-level functions, so one-off callers
+// share warmed workspaces instead of growing one per call.
+var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
+
+// Both is Workspace.Both on a pooled workspace, returning Labels the
+// caller owns.
+func Both(g *graph.Graph, entry int) (dbl, lbl *Labels) {
+	w := workspaces.Get().(*Workspace)
+	d, l := w.Both(g, entry)
+	dbl, lbl = d.clone(), l.clone()
+	workspaces.Put(w)
+	return dbl, lbl
+}
+
+func (l *Labels) clone() *Labels {
+	return &Labels{Perm: slices.Clone(l.Perm), Order: slices.Clone(l.Order)}
+}
+
 // DensityBased computes the DBL labeling of g with the given entry node.
 func DensityBased(g *graph.Graph, entry int) *Labels {
-	return build(keysFor(g, entry), byDensity)
+	dbl, _ := Both(g, entry)
+	return dbl
 }
 
 // LevelBased computes the LBL labeling of g with the given entry node.
 func LevelBased(g *graph.Graph, entry int) *Labels {
-	return build(keysFor(g, entry), byLevel)
-}
-
-// Both computes the DBL and LBL labelings of g sharing a single pass
-// over the ranking ingredients. Density, centrality factor, and BFS
-// levels dominate labeling cost and are identical for both schemes, so
-// computing them once halves the per-sample labeling work; the results
-// are exactly DensityBased(g, entry) and LevelBased(g, entry).
-func Both(g *graph.Graph, entry int) (dbl, lbl *Labels) {
-	keys := keysFor(g, entry)
-	keys2 := make([]nodeKey, len(keys))
-	copy(keys2, keys)
-	return build(keys, byDensity), build(keys2, byLevel)
+	_, lbl := Both(g, entry)
+	return lbl
 }
 
 // Compute computes the labeling of the requested kind.

@@ -1,12 +1,19 @@
 package labeling
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"soteria/internal/disasm"
+	"soteria/internal/gea"
 	"soteria/internal/graph"
+	"soteria/internal/malgen"
 )
 
 // starChain: 0->1, 0->2, 0->3, 3->4.
@@ -196,16 +203,150 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
+// referenceLabels is the ranking Both replaced, kept as its oracle:
+// fresh centrality and level slices, and sort.Slice over a less
+// function instead of slices.SortFunc over a comparison.
+func referenceLabels(g *graph.Graph, entry int, k Kind) *Labels {
+	cf := g.CentralityFactor()
+	levels := g.BFSLevels(entry)
+	keys := make([]nodeKey, g.NumNodes())
+	for v := range keys {
+		lvl := levels[v]
+		if lvl == -1 {
+			lvl = math.MaxInt32
+		}
+		keys[v] = nodeKey{id: v, density: g.NodeDensity(v), cf: cf[v], level: lvl}
+	}
+	less := func(a, b nodeKey) bool {
+		if a.density != b.density {
+			return a.density > b.density
+		}
+		if a.cf != b.cf {
+			return a.cf > b.cf
+		}
+		if a.level != b.level {
+			return a.level < b.level
+		}
+		return a.id < b.id
+	}
+	if k == LBL {
+		byDensity := less
+		less = func(a, b nodeKey) bool {
+			if a.level != b.level {
+				return a.level < b.level
+			}
+			return byDensity(a, b)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
+	l := &Labels{Perm: make([]int, len(keys)), Order: make([]int, len(keys))}
+	for label, k := range keys {
+		l.Perm[k.id] = label
+		l.Order[label] = k.id
+	}
+	return l
+}
+
 func TestBothMatchesSeparateComputations(t *testing.T) {
+	var w Workspace
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnected(rng, 2+rng.Intn(40))
-		wantD := DensityBased(g, 0)
-		wantL := LevelBased(g, 0)
+		wantD := referenceLabels(g, 0, DBL)
+		wantL := referenceLabels(g, 0, LBL)
 		gotD, gotL := Both(g, 0)
-		return reflect.DeepEqual(wantD, gotD) && reflect.DeepEqual(wantL, gotL)
+		wsD, wsL := w.Both(g, 0)
+		return reflect.DeepEqual(wantD, gotD) && reflect.DeepEqual(wantL, gotL) &&
+			reflect.DeepEqual(wantD, wsD) && reflect.DeepEqual(wantL, wsL) &&
+			reflect.DeepEqual(wantD, DensityBased(g, 0)) && reflect.DeepEqual(wantL, LevelBased(g, 0))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// paperGraphs returns malgen CFGs at Table III's smallest, median and
+// largest benign sizes and a GEA merge of the largest.
+func paperGraphs(t *testing.T) []*disasm.CFG {
+	t.Helper()
+	gen := malgen.NewGenerator(malgen.Config{Seed: 5})
+	var out []*disasm.CFG
+	st := malgen.PaperSizes[malgen.Benign]
+	for _, n := range []int{st.Min, st.Median, st.Max} {
+		s, err := gen.SampleSized(malgen.Benign, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, s.CFG)
+	}
+	victim, err := gen.SampleSized(malgen.Mirai, malgen.PaperSizes[malgen.Mirai].Median)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := gen.SampleSized(malgen.Benign, st.Max)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, merged, err := gea.MergeToCFG(victim.Program, target.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, merged)
+}
+
+func TestWorkspaceMatchesReferenceOnPaperCFGs(t *testing.T) {
+	var w Workspace
+	cfgs := paperGraphs(t)
+	// Largest first, so smaller graphs run on grown, dirty buffers.
+	slices.Reverse(cfgs)
+	for _, c := range cfgs {
+		d, l := w.Both(c.G, c.EntryNode())
+		if want := referenceLabels(c.G, c.EntryNode(), DBL); !reflect.DeepEqual(d, want) {
+			t.Fatalf("%d nodes: DBL differs from reference", c.G.NumNodes())
+		}
+		if want := referenceLabels(c.G, c.EntryNode(), LBL); !reflect.DeepEqual(l, want) {
+			t.Fatalf("%d nodes: LBL differs from reference", c.G.NumNodes())
+		}
+	}
+}
+
+// TestBothConcurrentDeterministic shares the package's pooled
+// workspaces among goroutines labeling different graphs; run with
+// -race it pins that no two callers ever hold one workspace.
+func TestBothConcurrentDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	graphs := make([]*graph.Graph, 8)
+	want := make([][2]*Labels, len(graphs))
+	for i := range graphs {
+		graphs[i] = randomConnected(rng, 5+rng.Intn(60))
+		want[i] = [2]*Labels{referenceLabels(graphs[i], 0, DBL), referenceLabels(graphs[i], 0, LBL)}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for iter := 0; iter < 20; iter++ {
+				i := (g + iter) % len(graphs)
+				d, l := Both(graphs[i], 0)
+				if !reflect.DeepEqual(d, want[i][0]) || !reflect.DeepEqual(l, want[i][1]) {
+					t.Errorf("goroutine %d: graph %d labels differ from reference", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+func TestWorkspaceBothZeroAllocs(t *testing.T) {
+	cfgs := paperGraphs(t)
+	var w Workspace
+	w.Both(cfgs[len(cfgs)-1].G, cfgs[len(cfgs)-1].EntryNode()) // grow every buffer once
+	for _, c := range cfgs {
+		allocs := testing.AllocsPerRun(5, func() { w.Both(c.G, c.EntryNode()) })
+		if allocs != 0 {
+			t.Fatalf("warmed Workspace.Both allocates %v/op on %d nodes, want 0", allocs, c.G.NumNodes())
+		}
 	}
 }

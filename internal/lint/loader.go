@@ -299,7 +299,7 @@ func (l *Loader) check(path, dir string, files []*ast.File, override map[string]
 	}
 	var imp types.Importer = l
 	if override != nil {
-		imp = overrideImporter{next: l, pkgs: override}
+		imp = overrideImporter{l: l, pkgs: override, dep: make(map[string]bool)}
 	}
 	conf := types.Config{
 		Importer: imp,
@@ -313,16 +313,54 @@ func (l *Loader) check(path, dir string, files []*ast.File, override map[string]
 	return pkg
 }
 
+// overrideImporter resolves an external test package's imports the way
+// `go test` builds them: the package under test comes from pkgs (built
+// with its in-package test files), and every module package that
+// imports it, directly or not, is re-checked against that build, so
+// the test and its other imports share one set of types.
 type overrideImporter struct {
-	next types.Importer
-	pkgs map[string]*types.Package
+	l    *Loader
+	pkgs map[string]*types.Package // overridden and re-checked packages
+	dep  map[string]bool           // memo for dependsOnOverride
 }
 
 func (o overrideImporter) Import(path string) (*types.Package, error) {
 	if pkg, ok := o.pkgs[path]; ok {
 		return pkg, nil
 	}
-	return o.next.Import(path)
+	clean, err := o.l.Import(path)
+	if err != nil || !o.dependsOnOverride(clean) {
+		return clean, err
+	}
+	files, _, _, err := o.l.parseDir(o.l.dirOf(path))
+	if err != nil {
+		return nil, err
+	}
+	conf := types.Config{Importer: o}
+	pkg, err := conf.Check(path, o.l.fset, files, nil)
+	if err != nil {
+		return nil, fmt.Errorf("type-check %s for the test build: %v", path, err)
+	}
+	o.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// dependsOnOverride reports whether the module package pkg imports an
+// overridden package, directly or not.
+func (o overrideImporter) dependsOnOverride(pkg *types.Package) bool {
+	if d, ok := o.dep[pkg.Path()]; ok {
+		return d
+	}
+	d := false
+	for _, imp := range pkg.Imports() {
+		p := imp.Path()
+		if _, ok := o.pkgs[p]; ok || (strings.HasPrefix(p, o.l.Module+"/") && o.dependsOnOverride(imp)) {
+			d = true
+			break
+		}
+	}
+	o.dep[pkg.Path()] = d
+	return d
 }
 
 // LoadFile loads a single file as its own package under the given

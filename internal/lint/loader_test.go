@@ -96,6 +96,55 @@ func TestValue(t *testing.T) {
 	}
 }
 
+// TestLoaderExternalTestImportsDependent covers an external test package
+// that also imports a package depending on the package under test: as
+// with `go test`, the dependent must be checked against the test build,
+// or the two views of the package under test disagree on every type.
+func TestLoaderExternalTestImportsDependent(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"internal/base/base.go": `package base
+
+type Node struct{ ID int }
+`,
+		"internal/base/base_test.go": `package base
+
+func helper() Node { return Node{ID: 1} }
+`,
+		"internal/user/user.go": `package user
+
+import "soteria/internal/base"
+
+func Make(id int) *base.Node { return &base.Node{ID: id} }
+`,
+		"internal/base/base_ext_test.go": `package base_test
+
+import (
+	"testing"
+
+	"soteria/internal/base"
+	"soteria/internal/user"
+)
+
+func TestMake(t *testing.T) {
+	var n *base.Node = user.Make(2)
+	if n.ID != 2 {
+		t.Fatal("wrong id")
+	}
+}
+`,
+	})
+	loader := NewLoader(root, "soteria", true)
+	pkgs, err := loader.LoadPatterns([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		if len(pkg.Errors) > 0 {
+			t.Fatalf("%s: %v", pkg.Path, pkg.Errors)
+		}
+	}
+}
+
 // TestLoaderTypeErrorIsReportedNotFatal proves a package that fails to
 // type-check surfaces through Package.Errors (and Run's Broken list)
 // instead of panicking or failing the whole load: the driver turns it

@@ -68,10 +68,10 @@ type Vectorizer struct {
 	L2 bool
 
 	index map[string]int
-	// pindex maps the packed form of each vocab entry to its slot; nil
-	// when some entry cannot pack (see Packable), in which case only the
-	// string path is available.
-	pindex map[uint64]int
+	// pkeys holds the packed form of each vocab entry, by slot; nil
+	// when some entry cannot pack (see Packable) or is not in the form
+	// Key renders, in which case only the string path is available.
+	pkeys []uint64
 }
 
 // idf is the smoothed inverse document frequency shared by every fit

@@ -205,18 +205,18 @@ func FitPacked(corpus []*GramCounter, k int) *Vectorizer {
 		keys = keys[:k]
 	}
 	v := &Vectorizer{
-		Vocab:  make([]string, len(keys)),
-		IDF:    make([]float64, len(keys)),
-		Dim:    k,
-		index:  make(map[string]int, len(keys)),
-		pindex: make(map[uint64]int, len(keys)),
+		Vocab: make([]string, len(keys)),
+		IDF:   make([]float64, len(keys)),
+		Dim:   k,
+		index: make(map[string]int, len(keys)),
+		pkeys: make([]uint64, len(keys)),
 	}
+	copy(v.pkeys, keys)
 	n := float64(len(corpus))
 	for i, g := range keys {
 		s := strs[g]
 		v.Vocab[i] = s
 		v.index[s] = i
-		v.pindex[g] = i
 		v.IDF[i] = idf(n, df[g])
 	}
 	return v
@@ -224,31 +224,32 @@ func FitPacked(corpus []*GramCounter, k int) *Vectorizer {
 
 // PackedReady reports whether the vectorizer can serve packed lookups
 // (every vocabulary entry parsed into a packable gram).
-func (v *Vectorizer) PackedReady() bool { return v.pindex != nil }
+func (v *Vectorizer) PackedReady() bool { return v.pkeys != nil }
 
 // VectorPacked is Vector over a packed-gram counter. It produces
 // bit-identical output to Vector on the equivalent string-keyed counts:
 // the TF denominator includes out-of-vocabulary grams, each output slot
-// is written once (so map iteration order is irrelevant), and the L2
-// norm accumulates in index order. Callers must check PackedReady.
+// is written once, and the L2 norm accumulates in index order. Callers
+// must check PackedReady.
 func (v *Vectorizer) VectorPacked(c *GramCounter) []float64 {
 	return v.VectorPackedInto(nil, c)
 }
 
 // VectorPackedInto is VectorPacked with caller-provided storage: dst is
 // reused when its capacity suffices (contents are overwritten), and the
-// returned slice has length Dim. Output is bit-identical to
-// VectorPacked — the buffer is zeroed before the single write per
-// occupied slot, so reuse can never leak a previous vector's values.
+// returned slice has length Dim. It looks up each vocabulary entry in
+// the counter, so its cost follows the vocabulary size, not the number
+// of distinct grams a large CFG's walks produce. Output is
+// bit-identical to VectorPacked — the buffer is zeroed before the
+// single write per occupied slot, so reuse can never leak a previous
+// vector's values.
 func (v *Vectorizer) VectorPackedInto(dst []float64, c *GramCounter) []float64 {
 	var out []float64
 	if cap(dst) < v.Dim {
 		out = make([]float64, v.Dim)
 	} else {
 		out = dst[:v.Dim]
-		for i := range out {
-			out[i] = 0
-		}
+		clear(out)
 	}
 	if c.total == 0 {
 		return out
@@ -256,13 +257,11 @@ func (v *Vectorizer) VectorPackedInto(dst []float64, c *GramCounter) []float64 {
 	// Same op sequence as Vector (divide, then scale by IDF) so packed
 	// and string paths round identically.
 	total := float64(c.total)
-	for g, n := range c.counts {
-		i, ok := v.pindex[g]
-		if !ok {
-			continue
+	for i, g := range v.pkeys {
+		if n, ok := c.counts[g]; ok {
+			tf := float64(n) / total
+			out[i] = tf * v.IDF[i]
 		}
-		tf := float64(n) / total
-		out[i] = tf * v.IDF[i]
 	}
 	if v.L2 {
 		normalize(out)
@@ -270,24 +269,26 @@ func (v *Vectorizer) VectorPackedInto(dst []float64, c *GramCounter) []float64 {
 	return out
 }
 
-// buildPackedIndex derives the packed index from the string vocabulary,
-// leaving pindex nil (packed lookups disabled) when any entry cannot
-// pack — the |V| > 2^15 / n > 4 fallback.
+// buildPackedIndex derives the packed keys from the string vocabulary,
+// leaving pkeys nil (packed lookups disabled) when any entry cannot
+// pack — the |V| > 2^15 / n > 4 fallback — or is not in the canonical
+// form Key renders, so that distinct entries always pack to distinct
+// keys.
 func (v *Vectorizer) buildPackedIndex() {
-	pindex := make(map[uint64]int, len(v.Vocab))
+	pkeys := make([]uint64, len(v.Vocab))
 	for i, s := range v.Vocab {
 		gram, err := ParseKey(s)
-		if err != nil || len(gram) == 0 || len(gram) > MaxPackedN {
-			v.pindex = nil
+		if err != nil || len(gram) == 0 || len(gram) > MaxPackedN || Key(gram) != s {
+			v.pkeys = nil
 			return
 		}
 		for _, lab := range gram {
 			if lab > MaxPackedLabel {
-				v.pindex = nil
+				v.pkeys = nil
 				return
 			}
 		}
-		pindex[Pack(gram)] = i
+		pkeys[i] = Pack(gram)
 	}
-	v.pindex = pindex
+	v.pkeys = pkeys
 }

@@ -1,6 +1,7 @@
 package ngram
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -187,6 +188,67 @@ func TestVectorPackedMatchesVector(t *testing.T) {
 	}
 }
 
+// referenceVectorPacked is the counter-side TF-IDF loop
+// VectorPackedInto replaced, kept as its oracle: one slot lookup per
+// distinct gram in the counter.
+func referenceVectorPacked(v *Vectorizer, c *GramCounter) []float64 {
+	slot := make(map[uint64]int, len(v.pkeys))
+	for i, g := range v.pkeys {
+		slot[g] = i
+	}
+	out := make([]float64, v.Dim)
+	if c.total == 0 {
+		return out
+	}
+	total := float64(c.total)
+	for g, n := range c.counts {
+		i, ok := slot[g]
+		if !ok {
+			continue
+		}
+		tf := float64(n) / total
+		out[i] = tf * v.IDF[i]
+	}
+	if v.L2 {
+		normalize(out)
+	}
+	return out
+}
+
+func TestVectorPackedMatchesReference(t *testing.T) {
+	_, corpus := corpusPair(t, 40, 60, []int{2, 3, 4})
+	// Most samples' distinct grams outnumber a 40-entry vocabulary; a
+	// 1000-entry one outnumbers every sample's.
+	larger, smaller := 0, 0
+	for _, k := range []int{40, 1000} {
+		v := FitPacked(corpus, k)
+		for _, l2 := range []bool{false, true} {
+			v.L2 = l2
+			dst := make([]float64, k)
+			for i := range dst {
+				dst[i] = math.NaN() // reuse must overwrite every slot
+			}
+			for i, c := range append(corpus, NewGramCounter()) {
+				if c.Len() > len(v.Vocab) {
+					larger++
+				} else {
+					smaller++
+				}
+				want := referenceVectorPacked(v, c)
+				dst = v.VectorPackedInto(dst, c)
+				for j := range want {
+					if math.Float64bits(dst[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("k=%d l2=%v sample %d slot %d: %v, want %v", k, l2, i, j, dst[j], want[j])
+					}
+				}
+			}
+		}
+	}
+	if larger == 0 || smaller == 0 {
+		t.Fatalf("%d counters larger and %d no larger than the vocabulary, want both", larger, smaller)
+	}
+}
+
 func TestVectorPackedEmptyCounter(t *testing.T) {
 	_, packCorpus := corpusPair(t, 5, 50, []int{2})
 	v := FitPacked(packCorpus, 10)
@@ -231,6 +293,10 @@ func TestPackedIndexFallback(t *testing.T) {
 	big := []map[string]int{{Key([]int{MaxPackedLabel + 1, 0}): 1}}
 	if Fit(big, 3).PackedReady() {
 		t.Fatal("oversized label vocab must not be packed-ready")
+	}
+	// A non-canonical entry would pack to another entry's key.
+	if Restore([]string{"1|2", "01|2"}, []float64{1, 1}, 2, false).PackedReady() {
+		t.Fatal("non-canonical vocab must not be packed-ready")
 	}
 }
 

@@ -96,6 +96,9 @@ func TestPredictIntoZeroAllocSteadyState(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { n.PredictInto(dst, x) }); avg != 0 {
 		t.Fatalf("PredictInto allocates %v objects per call at steady state, want 0", avg)
 	}
+	if k := len(n.arenas); k != 1 {
+		t.Fatalf("one caller left %d arenas on the free list, want 1", k)
+	}
 }
 
 // TestConcurrentPredictSharedNetwork hammers one trained network from
@@ -136,6 +139,10 @@ func TestConcurrentPredictSharedNetwork(t *testing.T) {
 	case msg := <-errc:
 		t.Fatal(msg)
 	default:
+	}
+	// The free list keeps at most one arena per concurrent caller.
+	if k := len(n.arenas); k < 1 || k > 8 {
+		t.Fatalf("8 callers left %d arenas on the free list, want 1..8", k)
 	}
 }
 

@@ -15,7 +15,7 @@ package nn
 // ensemble votes concurrently), so the inference path never touches
 // the layers' training buffers. Each pass borrows an Arena — a bundle
 // of scratch matrices handed out slot-by-slot — from a per-network
-// pool, and only data copied out of the arena (see PredictInto)
+// free list, and only data copied out of the arena (see PredictInto)
 // survives the pass.
 
 // ensure resizes *m to rows x cols, reusing the backing slice when it
@@ -54,7 +54,7 @@ func ensureF64(s *[]float64, n int) []float64 {
 // recycled: the arena keeps every matrix it has handed out and reuses
 // the backing storage on the next pass, so a warmed arena allocates
 // nothing. Matrices taken from an arena are only valid until the arena
-// is reset or returned to its pool.
+// is reset or returned to its network.
 type Arena struct {
 	slots []*Matrix
 	next  int

@@ -51,6 +51,7 @@ go run ./cmd/soterialint ./...
 echo "== race suite"
 go test -race ./internal/features ./internal/nn ./internal/core \
     ./internal/par ./internal/walk ./internal/autoenc ./internal/cnn \
-    ./internal/obs ./internal/lint ./internal/store ./internal/fleet ./internal/registry
+    ./internal/obs ./internal/lint ./internal/store ./internal/fleet ./internal/registry \
+    ./internal/graph ./internal/labeling
 
 echo "verify: OK"
