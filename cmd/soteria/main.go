@@ -46,6 +46,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -331,7 +332,12 @@ func serveHandler(reg *soteria.Registry, mr *soteria.ModelRegistry) http.Handler
 		}
 		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxAnalyzeBody))
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, err.Error(), status)
 			return
 		}
 		var salt int64

@@ -332,7 +332,7 @@ func TestServeHandler(t *testing.T) {
 		}
 	}
 
-	// Error paths: wrong method, junk body.
+	// Error paths: wrong method, junk body, oversize body.
 	res, err = http.Get(srv.URL + "/analyze")
 	if err != nil {
 		t.Fatal(err)
@@ -348,6 +348,14 @@ func TestServeHandler(t *testing.T) {
 	bodyClose(t, res)
 	if res.StatusCode != http.StatusBadRequest {
 		t.Fatalf("junk /analyze status %d, want 400", res.StatusCode)
+	}
+	res, err = http.Post(srv.URL+"/analyze", "application/octet-stream", bytes.NewReader(make([]byte, maxAnalyzeBody+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodyClose(t, res)
+	if res.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize /analyze status %d, want 413", res.StatusCode)
 	}
 
 	// pprof endpoints are mounted.

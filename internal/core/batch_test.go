@@ -142,7 +142,7 @@ func TestAnalyzeBinaryBatchReportsLowestBadSample(t *testing.T) {
 func TestBatcherMatchesAnalyze(t *testing.T) {
 	pipes, corpus := batchEnv(t)
 	p := pipes[false]
-	b := NewBatcher(p, BatcherConfig{MaxBatch: 4, MaxWait: time.Millisecond})
+	b := NewBatcher(p)
 	defer b.Close()
 
 	var wg sync.WaitGroup
@@ -181,7 +181,7 @@ func TestBatcherMatchesAnalyze(t *testing.T) {
 func TestBatcherPropagatesPerRequestErrors(t *testing.T) {
 	_, corpus := batchEnv(t)
 	unfitted := &Pipeline{Extractor: features.NewExtractor(features.Config{})}
-	b := NewBatcher(unfitted, BatcherConfig{MaxBatch: 2, MaxWait: time.Millisecond})
+	b := NewBatcher(unfitted)
 	defer b.Close()
 	for i := 0; i < 3; i++ {
 		if _, err := b.Submit(context.Background(), corpus[0].CFG, int64(i)); !errors.Is(err, features.ErrNotFitted) {
@@ -197,7 +197,7 @@ func TestBatcherPropagatesPerRequestErrors(t *testing.T) {
 func TestBatcherCloseMidFlight(t *testing.T) {
 	pipes, corpus := batchEnv(t)
 	p := pipes[false]
-	b := NewBatcher(p, BatcherConfig{MaxBatch: 3, MaxWait: 100 * time.Microsecond})
+	b := NewBatcher(p)
 
 	var wg sync.WaitGroup
 	failures := make([]string, 16)

@@ -80,49 +80,17 @@ func benchEnv(b *testing.B) (*Pipeline, []*disasm.CFG, []*features.Vectors) {
 	return benchPipe, benchCFGs, benchVecs
 }
 
-// fillBenchChunk lays pre-extracted vectors into one chunk buffer
-// exactly as extractChunk would, so scoring benchmarks exercise
-// scoreChunk alone.
-func fillBenchChunk(p *Pipeline, c *chunkBuf, vecs []*features.Vectors) {
-	wc := p.Extractor.Config().WalkCount
-	perWalk := p.opts.PerWalkDetector
-	n := len(vecs)
-	c.lo, c.n = 0, n
-	c.dblX = ensureMat(&c.dblX, n*wc, p.Extractor.WalkDim())
-	c.lblX = ensureMat(&c.lblX, n*wc, p.Extractor.WalkDim())
-	if perWalk {
-		c.detX = ensureMat(&c.detX, n*wc, p.Extractor.Dim())
-		c.groups = ensureInts(&c.groups, n*wc)
-		for r := range c.groups {
-			c.groups[r] = r / wc
-		}
-	} else {
-		c.detX = ensureMat(&c.detX, n, p.Extractor.Dim())
-	}
-	c.errs = ensureErrs(&c.errs, n)
-	for i, v := range vecs {
-		c.errs[i] = nil
-		for w := 0; w < wc; w++ {
-			copy(c.dblX.Row(i*wc+w), v.DBL[w])
-			copy(c.lblX.Row(i*wc+w), v.LBL[w])
-			if perWalk {
-				copy(c.detX.Row(i*wc+w), v.CombinedWalks[w])
-			}
-		}
-		if !perWalk {
-			copy(c.detX.Row(i), v.Combined)
-		}
-	}
-}
-
-// BenchmarkAnalyzeBatch measures the scoring stage over a pre-extracted
+// BenchmarkScoreChunk measures the scoring stage over a pre-extracted
 // 64-sample corpus — one batched standardize+forward+RMSE pass for the
 // detector and one batched forward per labeling for the ensemble,
 // exactly the work AnalyzeBatch performs after extraction.
-func BenchmarkAnalyzeBatch(b *testing.B) {
+func BenchmarkScoreChunk(b *testing.B) {
 	p, _, vecs := benchEnv(b)
 	c := p.getChunk()
-	fillBenchChunk(p, c, vecs)
+	c.shape(p, 0, len(vecs))
+	for i, v := range vecs {
+		c.place(i, v, nil)
+	}
 	out := make([]*Decision, len(vecs))
 	errs := make([]error, len(vecs))
 	b.ResetTimer()
@@ -138,7 +106,7 @@ func BenchmarkAnalyzeBatch(b *testing.B) {
 func BenchmarkBatcherThroughput(b *testing.B) {
 	p, cfgs, _ := benchEnv(b)
 	const submitters = 8
-	bat := NewBatcher(p, BatcherConfig{MaxBatch: submitters})
+	bat := NewBatcher(p)
 	defer bat.Close()
 	var next atomic.Int64
 	b.SetParallelism(submitters)
@@ -223,7 +191,7 @@ func benchBatcherRepeat(b *testing.B, pct int) {
 	detach := attachBenchCache(b, p)
 	defer detach()
 	const submitters = 8
-	bat := NewBatcher(p, BatcherConfig{MaxBatch: submitters})
+	bat := NewBatcher(p)
 	defer bat.Close()
 	var next atomic.Int64
 	b.SetParallelism(submitters)

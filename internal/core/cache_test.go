@@ -315,7 +315,7 @@ func TestCacheCountsOneMissPerMiss(t *testing.T) {
 	raw := raws[3]
 	const salt = 5
 	cfg := mustCFG(t, p, raw)
-	b := NewBatcher(p, BatcherConfig{})
+	b := NewBatcher(p)
 	defer b.Close()
 	paths := []struct {
 		name    string
@@ -434,7 +434,7 @@ func TestBatcherSingleflight(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	b := NewBatcher(p, BatcherConfig{MaxBatch: 4})
+	b := NewBatcher(p)
 	defer b.Close()
 
 	before := samplesCount(reg)

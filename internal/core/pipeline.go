@@ -350,6 +350,8 @@ const analyzeDepth = 2
 // scoring stage consumes with cross-sample batched forwards.
 type chunkBuf struct {
 	lo, n      int        // sample range [lo, lo+n) of the batch
+	wc         int        // walks (classifier rows) per sample
+	perWalk    bool       // detector rows per walk rather than per sample
 	dblX, lblX *nn.Matrix // per-walk classifier rows, n*wc x WalkDim
 	detX       *nn.Matrix // detector rows: n*wc x Dim (per-walk) or n x Dim
 	groups     []int      // detector row -> chunk sample (per-walk mode)
@@ -363,6 +365,60 @@ func (p *Pipeline) getChunk() *chunkBuf {
 		return c
 	}
 	return new(chunkBuf)
+}
+
+// shape sizes the chunk for samples [lo, lo+n) of a batch under p's
+// feature layout. Row contents and errs are unspecified until place
+// fills each sample.
+func (c *chunkBuf) shape(p *Pipeline, lo, n int) {
+	c.lo, c.n = lo, n
+	c.wc, c.perWalk = p.Extractor.Config().WalkCount, p.opts.PerWalkDetector
+	c.dblX = ensureMat(&c.dblX, n*c.wc, p.Extractor.WalkDim())
+	c.lblX = ensureMat(&c.lblX, n*c.wc, p.Extractor.WalkDim())
+	if c.perWalk {
+		c.detX = ensureMat(&c.detX, n*c.wc, p.Extractor.Dim())
+		c.groups = ensureInts(&c.groups, n*c.wc)
+		for r := range c.groups {
+			c.groups[r] = r / c.wc
+		}
+	} else {
+		c.detX = ensureMat(&c.detX, n, p.Extractor.Dim())
+	}
+	c.errs = ensureErrs(&c.errs, n)
+}
+
+// place records chunk sample i's outcome: its extracted vectors copied
+// into its rows, or, when err is non-nil, the error and zeroed rows, so
+// the chunk's batched forwards stay well-shaped and deterministic.
+// Distinct samples touch disjoint rows, so workers may place
+// concurrently.
+func (c *chunkBuf) place(i int, v *features.Vectors, err error) {
+	wc := c.wc
+	c.errs[i] = err
+	if err != nil {
+		for r := i * wc; r < (i+1)*wc; r++ {
+			zeroRow(c.dblX.Row(r))
+			zeroRow(c.lblX.Row(r))
+			if c.perWalk {
+				zeroRow(c.detX.Row(r))
+			}
+		}
+		if !c.perWalk {
+			zeroRow(c.detX.Row(i))
+		}
+		return
+	}
+	for w := 0; w < wc; w++ {
+		r := i*wc + w
+		copy(c.dblX.Row(r), v.DBL[w])
+		copy(c.lblX.Row(r), v.LBL[w])
+		if c.perWalk {
+			copy(c.detX.Row(r), v.CombinedWalks[w])
+		}
+	}
+	if !c.perWalk {
+		copy(c.detX.Row(i), v.Combined)
+	}
 }
 
 // AnalyzeBatch analyzes many CFGs through a bounded two-stage pipeline:
@@ -434,27 +490,9 @@ func (p *Pipeline) analyzeBatch(cfgs []*disasm.CFG, salts []int64, keys []store.
 
 // extractChunk fills one chunk's row matrices from samples [lo, hi) of
 // the batch, fanning the per-sample extractions across the worker pool.
-// A sample that fails to extract records its error and zeroes its rows,
-// so the chunk's batched forwards stay well-shaped and deterministic.
 func (p *Pipeline) extractChunk(c *chunkBuf, cfgs []*disasm.CFG, salts []int64, lo, hi int) {
-	wc := p.Extractor.Config().WalkCount
-	perWalk := p.opts.PerWalkDetector
-	n := hi - lo
-	c.lo, c.n = lo, n
-	c.dblX = ensureMat(&c.dblX, n*wc, p.Extractor.WalkDim())
-	c.lblX = ensureMat(&c.lblX, n*wc, p.Extractor.WalkDim())
-	if perWalk {
-		c.detX = ensureMat(&c.detX, n*wc, p.Extractor.Dim())
-		c.groups = ensureInts(&c.groups, n*wc)
-		for r := range c.groups {
-			c.groups[r] = r / wc
-		}
-	} else {
-		c.detX = ensureMat(&c.detX, n, p.Extractor.Dim())
-	}
-	c.errs = ensureErrs(&c.errs, n)
-	par.For(n, func(i int) {
-		c.errs[i] = nil
+	c.shape(p, lo, hi-lo)
+	par.For(c.n, func(i int) {
 		vb, _ := p.vecs.Get().(*features.Vectors)
 		v, err := p.Extractor.ExtractInto(vb, cfgs[lo+i], salts[lo+i])
 		if v != nil {
@@ -463,29 +501,9 @@ func (p *Pipeline) extractChunk(c *chunkBuf, cfgs []*disasm.CFG, salts []int64, 
 			defer p.vecs.Put(vb)
 		}
 		if err != nil {
-			c.errs[i] = fmt.Errorf("core: sample %d: %w", lo+i, err)
-			for w := 0; w < wc; w++ {
-				zeroRow(c.dblX.Row(i*wc + w))
-				zeroRow(c.lblX.Row(i*wc + w))
-				if perWalk {
-					zeroRow(c.detX.Row(i*wc + w))
-				}
-			}
-			if !perWalk {
-				zeroRow(c.detX.Row(i))
-			}
-			return
+			err = fmt.Errorf("core: sample %d: %w", lo+i, err)
 		}
-		for w := 0; w < wc; w++ {
-			copy(c.dblX.Row(i*wc+w), v.DBL[w])
-			copy(c.lblX.Row(i*wc+w), v.LBL[w])
-			if perWalk {
-				copy(c.detX.Row(i*wc+w), v.CombinedWalks[w])
-			}
-		}
-		if !perWalk {
-			copy(c.detX.Row(i), v.Combined)
-		}
+		c.place(i, v, err)
 	})
 }
 
@@ -509,12 +527,12 @@ func (p *Pipeline) scoreChunk(c *chunkBuf, out []*Decision, errs []error, keys [
 	if failed < c.n {
 		c.res = ensureF64(&c.res, c.n)
 		c.cls = ensureInts(&c.cls, c.n)
-		if p.opts.PerWalkDetector {
+		if c.perWalk {
 			p.Detector.SampleErrorsInto(c.res, c.detX, c.groups)
 		} else {
 			p.Detector.ReconstructionErrorsInto(c.res, c.detX)
 		}
-		p.Ensemble.VoteBatchInto(c.cls, c.dblX, c.lblX, p.Extractor.Config().WalkCount)
+		p.Ensemble.VoteBatchInto(c.cls, c.dblX, c.lblX, c.wc)
 		threshold = p.Detector.Threshold()
 	}
 	fill := p.cache != nil && keys != nil

@@ -29,12 +29,11 @@
 //   - Admission control with deadline-aware shedding. A request is
 //     rejected with 503 + Retry-After instead of enqueued when the
 //     fleet cannot serve it in time: every admissible backend is at
-//     its MaxInflight cap, its last-probed Batcher queue depth exceeds
-//     QueueLimit, or the request's remaining deadline (the context's,
-//     or the client-declared Soteria-Deadline-Ms header) is shorter
-//     than the chosen backend's recent service latency. Shedding keeps
-//     served-request latency bounded — the queue never grows past what
-//     the deadline math says can drain.
+//     its MaxInflight cap, or the request's remaining deadline (the
+//     context's, or the client-declared Soteria-Deadline-Ms header) is
+//     shorter than the chosen backend's recent service latency.
+//     Shedding keeps served-request latency bounded — the queue never
+//     grows past what the deadline math says can drain.
 //
 //   - Graceful drain. Shutdown flips the door to draining (new
 //     requests get 503 + Connection: close), waits for in-flight
@@ -99,12 +98,6 @@ type Config struct {
 	// past its cap is shed (default 512 — one full scoring batch).
 	MaxInflight int
 
-	// QueueLimit sheds requests to backends whose last-probed
-	// batcher.queue_depth exceeds it (default 2048; negative disables
-	// the metrics probe entirely for backends without a /metrics
-	// endpoint).
-	QueueLimit int
-
 	// AffinitySlack is how far above the fleet-minimum in-flight count
 	// the hash-preferred backend may sit and still win routing
 	// (default 2). 0 is pure least-loaded with rendezvous tie-breaking.
@@ -141,9 +134,6 @@ func (c *Config) fill() {
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 512
 	}
-	if c.QueueLimit == 0 {
-		c.QueueLimit = 2048
-	}
 	if c.AffinitySlack < 0 {
 		c.AffinitySlack = 0
 	} else if c.AffinitySlack == 0 {
@@ -170,7 +160,6 @@ type backend struct {
 
 	inflight atomic.Int64 // requests outstanding through this door
 	healthy  atomic.Bool  // in the rotation?
-	depth    atomic.Int64 // last-probed batcher.queue_depth
 	latBits  atomic.Uint64
 
 	// prober-owned; never touched by dispatcher goroutines.
@@ -211,7 +200,7 @@ func (b *backend) latencyEstimate() float64 {
 // uninstrumented.
 type fleetObs struct {
 	requests     *obs.Counter   // requests admitted and dispatched
-	shed         *obs.Counter   // 503s: overload, queue depth, drain
+	shed         *obs.Counter   // 503s: overload, deadline, drain
 	shedDeadline *obs.Counter   // subset of shed: deadline cannot be met
 	retries      *obs.Counter   // transport-failover re-dispatches
 	errors       *obs.Counter   // 502s: every candidate failed
@@ -350,11 +339,10 @@ var errNoBackend = errors.New("fleet: no admissible backend")
 // descending rendezvous order for the request's content digest,
 // skipping unhealthy or already-tried ones, and take the first whose
 // in-flight count is within AffinitySlack of the fleet minimum and
-// whose admission bounds (MaxInflight, QueueLimit) pass. Returns
-// errNoBackend when every healthy candidate is over bounds — the shed
-// signal. Admission reads are advisory: two racing requests may both
-// admit against the same last slot, overshooting a cap by ones, which
-// bounded queues absorb.
+// under MaxInflight. Returns errNoBackend when every healthy candidate
+// is over bounds — the shed signal. Admission reads are advisory: two
+// racing requests may both admit against the same last slot,
+// overshooting a cap by ones, which bounded queues absorb.
 func (f *Frontdoor) pick(sum [32]byte, tried map[*backend]bool) (*backend, error) {
 	minIn := int64(math.MaxInt64)
 	candidates := 0
@@ -386,20 +374,11 @@ func (f *Frontdoor) pick(sum [32]byte, tried map[*backend]bool) (*backend, error
 		if best == nil {
 			return nil, errNoBackend
 		}
-		in := best.inflight.Load()
-		overAffinity := in > minIn+slack
-		overCap := in >= int64(f.cfg.MaxInflight)
-		overQueue := f.cfg.QueueLimit >= 0 && best.depth.Load() > int64(f.cfg.QueueLimit)
-		if !overAffinity && !overCap && !overQueue {
+		if in := best.inflight.Load(); in <= minIn+slack && in < int64(f.cfg.MaxInflight) {
 			return best, nil
 		}
-		if overCap || overQueue {
-			// Out of admission bounds entirely — exclude and continue.
-			tried[best] = true
-			continue
-		}
-		// Within bounds but too far above the minimum: the affinity
-		// preference loses to load. Fall through the ranking.
+		// At its MaxInflight cap, or too far above the fleet minimum for
+		// the affinity preference to beat load: fall through the ranking.
 		tried[best] = true
 	}
 }

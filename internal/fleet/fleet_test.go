@@ -16,15 +16,13 @@ import (
 )
 
 // stubReplica fakes one `soteria -serve` process: /healthz gated by a
-// flag, /analyze with a configurable service delay that reports which
-// stub answered, and /metrics exposing a configurable
-// batcher.queue_depth.
+// flag, and /analyze with a configurable service delay that reports
+// which stub answered.
 type stubReplica struct {
 	name    string
 	srv     *httptest.Server
 	healthy atomic.Bool
 	delayNs atomic.Int64
-	depth   atomic.Int64
 	served  atomic.Int64
 	// version echoes in every /analyze answer, standing in for the
 	// replica's active model version: a registry hot swap changes what
@@ -62,10 +60,6 @@ func newStub(t *testing.T, name string) *stubReplica {
 		}); err != nil {
 			t.Errorf("stub %s: encode response: %v", s.name, err)
 		}
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"batcher.queue_depth": %d}`, s.depth.Load())
 	})
 	s.srv = httptest.NewServer(mux)
 	t.Cleanup(s.srv.Close)
@@ -353,26 +347,6 @@ func TestOverloadShed(t *testing.T) {
 	}
 	if !sawRetryAfter {
 		t.Fatal("no shed response carried Retry-After")
-	}
-}
-
-// TestQueueDepthShed: a replica reporting a deep Batcher queue via
-// /metrics is excluded from admission even though its health check
-// passes.
-func TestQueueDepthShed(t *testing.T) {
-	a := newStub(t, "a")
-	a.depth.Store(100000)
-	door := newDoor(t, Config{QueueLimit: 10}, a)
-
-	// Wait until the prober has observed the advertised depth.
-	waitFor(t, time.Second, func() bool { return door.bes[0].depth.Load() > 10 })
-
-	code, _, ra := post(t, door, []byte("queued-out"), nil)
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("deep-queue status: got %d, want 503", code)
-	}
-	if ra == "" {
-		t.Fatal("deep-queue shed missing Retry-After")
 	}
 }
 

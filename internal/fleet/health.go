@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"time"
@@ -44,9 +43,7 @@ func (f *Frontdoor) probeAll(ctx context.Context) {
 	f.met.healthy.Set(float64(f.Healthy()))
 }
 
-// probe runs one backend's health check and, when the backend is
-// responsive and queue-depth shedding is enabled, refreshes its
-// batcher.queue_depth reading from /metrics. consecFail/consecOK are
+// probe runs one backend's health check. consecFail/consecOK are
 // prober-owned state: only this goroutine moves them.
 func (f *Frontdoor) probe(ctx context.Context, be *backend) {
 	pctx, cancel := context.WithTimeout(ctx, f.cfg.ProbeTimeout)
@@ -56,9 +53,6 @@ func (f *Frontdoor) probe(ctx context.Context, be *backend) {
 		be.consecOK++
 		if !be.healthy.Load() && be.consecOK >= f.cfg.ReadmitAfter {
 			be.healthy.Store(true)
-		}
-		if f.cfg.QueueLimit >= 0 {
-			f.probeDepth(pctx, be)
 		}
 	} else {
 		be.consecOK = 0
@@ -83,38 +77,4 @@ func (f *Frontdoor) probeOnce(ctx context.Context, be *backend) bool {
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
 	_ = resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
-}
-
-// probeDepth refreshes the backend's last-known Batcher queue depth
-// from its /metrics snapshot. Best-effort: on any error the previous
-// reading stands — a stale depth only delays shedding by one probe
-// interval, while zeroing it on a transient parse failure would admit
-// traffic to a drowning replica.
-func (f *Frontdoor) probeDepth(ctx context.Context, be *backend) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, be.base+"/metrics", nil)
-	if err != nil {
-		return
-	}
-	resp, err := f.cfg.Client.Do(req)
-	if err != nil {
-		return
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
-		return
-	}
-	var snap map[string]json.RawMessage
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&snap); err != nil {
-		return
-	}
-	raw, ok := snap["batcher.queue_depth"]
-	if !ok {
-		return
-	}
-	var depth float64
-	if err := json.Unmarshal(raw, &depth); err != nil {
-		return
-	}
-	be.depth.Store(int64(depth))
 }

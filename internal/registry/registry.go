@@ -42,11 +42,10 @@ import (
 // statistic, slow enough that one disagreement cannot flip a gate.
 const shadowAlpha = 0.05
 
-// defaultShadowQueue bounds the shadow mirror queue when
-// Config.ShadowQueue is unset. Mirroring is strictly best-effort: a
-// full queue drops the sample (counted) rather than ever delaying the
-// serving path.
-const defaultShadowQueue = 64
+// shadowQueue bounds the mirror queue feeding the shadow scorer.
+// Mirroring is strictly best-effort: a full queue drops the sample
+// (counted) rather than ever delaying the serving path.
+const shadowQueue = 64
 
 // ErrNoActive is returned by Submit before any version was activated.
 var ErrNoActive = errors.New("registry: no active model version")
@@ -60,9 +59,6 @@ var ErrUnknownVersion = errors.New("registry: unknown version")
 
 // Config configures a Registry.
 type Config struct {
-	// Batcher tunes each version's micro-batching front door; zero
-	// values take the core defaults.
-	Batcher core.BatcherConfig
 	// Cache, when non-nil, is attached to every loaded version. Keys
 	// embed each version's fingerprint, so versions share the cache
 	// without ever sharing entries.
@@ -72,9 +68,6 @@ type Config struct {
 	// uninstrumented so a candidate's scoring never pollutes the live
 	// drift metrics. Nil disables all instrumentation.
 	Obs *obs.Registry
-	// ShadowQueue bounds the mirror queue feeding the shadow scorer
-	// (default 64); samples arriving at a full queue are dropped.
-	ShadowQueue int
 }
 
 // version is one loaded model: the pipeline, its ID, and the Batcher
@@ -151,14 +144,10 @@ type Registry struct {
 // New returns an empty registry and starts its shadow scorer. Close it
 // to release the scorer and every version's batcher.
 func New(cfg Config) *Registry {
-	q := cfg.ShadowQueue
-	if q <= 0 {
-		q = defaultShadowQueue
-	}
 	r := &Registry{
 		cfg:      cfg,
 		versions: make(map[string]*version),
-		jobs:     make(chan shadowJob, q),
+		jobs:     make(chan shadowJob, shadowQueue),
 		quiesce:  make(chan chan struct{}),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -258,7 +247,7 @@ func (r *Registry) Activate(id string) error {
 		// reaching the pipeline.
 		r.quiesceScorer()
 		v.pipe.Instrument(r.cfg.Obs)
-		v.bat = core.NewBatcher(v.pipe, r.cfg.Batcher)
+		v.bat = core.NewBatcher(v.pipe)
 	}
 	prev := r.active.Swap(v)
 	if prev == v {

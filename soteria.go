@@ -139,20 +139,16 @@ func (s *System) AnalyzeBinaryBatch(bins [][]byte, salts []int64) ([]*Decision, 
 // forwards; see NewBatcher.
 type Batcher = core.Batcher
 
-// BatcherConfig tunes a Batcher's batch-size/latency tradeoff.
-type BatcherConfig = core.BatcherConfig
-
 // ErrBatcherClosed is returned by Batcher.Submit after Close.
 var ErrBatcherClosed = core.ErrBatcherClosed
 
 // NewBatcher starts a micro-batching front door over the trained
 // system: concurrent callers Submit one CFG each and receive decisions
 // bit-identical to lone Analyze calls with the same salt, while the
-// batcher coalesces up to MaxBatch requests (or MaxWait of arrival
-// time) into shared batched forwards. Close it to release the
-// collector goroutine.
-func (s *System) NewBatcher(cfg BatcherConfig) *Batcher {
-	return core.NewBatcher(s.pipeline, cfg)
+// batcher serves whoever is waiting when it frees up in one shared
+// batched forward. Close it to release the collector goroutine.
+func (s *System) NewBatcher() *Batcher {
+	return core.NewBatcher(s.pipeline)
 }
 
 // Pipeline exposes the underlying components (extractor, detector,
@@ -200,10 +196,9 @@ func (s *System) AttachCache(c *Cache) error { return s.pipeline.AttachCache(c) 
 // AdminHandler exposes the /models API the built-in server mounts.
 type ModelRegistry = registry.Registry
 
-// ModelRegistryConfig configures NewModelRegistry: per-version Batcher
-// tuning, an optional shared result cache (versions never share
-// entries — keys embed each version's fingerprint), an optional metric
-// registry, and the shadow mirror queue bound.
+// ModelRegistryConfig configures NewModelRegistry: an optional shared
+// result cache (versions never share entries — keys embed each
+// version's fingerprint) and an optional metric registry.
 type ModelRegistryConfig = registry.Config
 
 // ModelInfo describes one registered model version.
@@ -234,7 +229,7 @@ type Registry = obs.Registry
 func NewRegistry() *Registry { return obs.NewRegistry() }
 
 // Instrument registers the system's serving metrics (pipeline stage
-// latencies, batcher queue waits and flush reasons, detector RE drift)
+// latencies, batcher queue waits and batch sizes, detector RE drift)
 // in r and starts observing. A nil registry is a no-op. Instrument
 // before serving traffic and before NewBatcher; observations are
 // write-only, so decisions are bit-identical with instrumentation on or
