@@ -137,18 +137,45 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 	}
 }
 
-// BenchmarkGramCounting64 isolates the packed n-gram counting stage on
-// one walk-length trace (the innermost extraction loop).
-func BenchmarkGramCounting64(b *testing.B) {
-	s := benchSample(b, 64)
-	perm := labeling.DensityBased(s.CFG.G, s.CFG.EntryNode()).Perm
-	rng := mrand.New(mrand.NewSource(1))
-	trace := walk.Random(s.CFG.G, s.CFG.EntryNode(), perm, walk.DefaultLengthFactor*s.CFG.G.NumNodes(), rng)
-	c := ngram.NewGramCounter()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Reset()
+// BenchmarkGramCounting isolates n-gram counting on one walk-length
+// trace, the innermost extraction loop, at Gafgyt's median CFG size and
+// Table III's largest. slots is what extraction runs: one pass over the
+// walk into the slots of a 128-entry vocabulary (DefaultOptions' TopK),
+// fitted on the sample's own walks. map is GramCounter.AddTrace, which
+// counts every gram for fitting's document frequencies.
+func BenchmarkGramCounting(b *testing.B) {
+	for _, nodes := range []int{64, 443} {
+		s := benchSample(b, nodes)
+		perm := labeling.DensityBased(s.CFG.G, s.CFG.EntryNode()).Perm
+		rng := mrand.New(mrand.NewSource(1))
+		steps := walk.DefaultLengthFactor * s.CFG.G.NumNodes()
+		walks := make([]*ngram.GramCounter, walk.DefaultCount)
+		for i := range walks {
+			walks[i] = ngram.NewGramCounter()
+			walks[i].AddTrace(walk.Random(s.CFG.G, s.CFG.EntryNode(), perm, steps, rng), ngram.DefaultNs)
+		}
+		vec := ngram.FitPacked(walks, 128)
+		trace := walk.Random(s.CFG.G, s.CFG.EntryNode(), perm, steps, rng)
+		counts := make([]int, len(vec.Vocab))
+		b.Run("slots/"+strconv.Itoa(nodes), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				clear(counts)
+				vec.CountSlots(counts, trace, ngram.DefaultNs)
+			}
+		})
+		if nodes != 64 {
+			continue
+		}
+		c := ngram.NewGramCounter()
 		c.AddTrace(trace, ngram.DefaultNs)
+		b.Run("map/64", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.Reset()
+				c.AddTrace(trace, ngram.DefaultNs)
+			}
+		})
 	}
 }
 

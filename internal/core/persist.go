@@ -102,7 +102,37 @@ func (p *Pipeline) Fingerprint() ([32]byte, error) {
 // serving.
 func (p *Pipeline) InvalidateFingerprint() { p.fpSet = false }
 
-// Load rebuilds a trained pipeline from Save output.
+// check rejects a model whose parts cannot serve together, which
+// would otherwise load and then panic on its first analysis: each
+// vocabulary needs one IDF weight per entry and a vector of the
+// features' topK dimensions with room for every entry, and the
+// detector must read two such vectors and each classifier one.
+func (in *persisted) check(topK int) error {
+	for _, v := range []struct {
+		name string
+		vs   vocabState
+	}{{"DBL", in.DBLVocab}, {"LBL", in.LBLVocab}} {
+		switch vs := v.vs; {
+		case len(vs.IDF) != len(vs.Vocab):
+			return fmt.Errorf("core: %s vocabulary has %d entries but %d IDF weights", v.name, len(vs.Vocab), len(vs.IDF))
+		case len(vs.Vocab) > vs.Dim:
+			return fmt.Errorf("core: %s vocabulary has %d entries, more than its dim %d", v.name, len(vs.Vocab), vs.Dim)
+		case vs.Dim != topK:
+			return fmt.Errorf("core: %s vocabulary dim %d, want the features' topK %d", v.name, vs.Dim, topK)
+		}
+	}
+	if d := in.DetectorConfig.InputDim; d != 2*topK {
+		return fmt.Errorf("core: detector input dim %d, want 2×topK = %d", d, 2*topK)
+	}
+	if d := in.CNNConfig.InputDim; d != topK {
+		return fmt.Errorf("core: classifier input dim %d, want topK = %d", d, topK)
+	}
+	return nil
+}
+
+// Load rebuilds a trained pipeline from Save output. A model whose
+// vocabularies, detector and classifiers disagree on dimensions is
+// rejected, not loaded.
 func Load(r io.Reader) (*Pipeline, error) {
 	var in persisted
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -112,6 +142,9 @@ func Load(r io.Reader) (*Pipeline, error) {
 		return nil, fmt.Errorf("core: unsupported model version %d", in.Version)
 	}
 	ext := features.NewExtractor(in.Features)
+	if err := in.check(ext.WalkDim()); err != nil {
+		return nil, err
+	}
 	ext.FitVectorizers(in.DBLVocab.restore(), in.LBLVocab.restore())
 
 	det, err := autoenc.Restore(in.DetectorConfig, in.DetectorState)

@@ -132,6 +132,82 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsUnservableModels pins Load's dimension checks: each
+// case edits one part of a saved model so that it still decodes and
+// its networks still restore, but its parts disagree on a dimension.
+// Loaded, such a model panics on its first analysis (an IDF list
+// shorter than the vocabulary indexes past its end when vectorizing),
+// so Load must refuse it.
+func TestLoadRejectsUnservableModels(t *testing.T) {
+	p, _, _ := cachePipeline(t)
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+	topK := p.Extractor.WalkDim()
+	cases := []struct {
+		name string
+		edit func(m map[string]any)
+		want string
+	}{
+		{"dbl idf drops an entry", func(m map[string]any) {
+			v := obj(m, "dblVocab")
+			idf := v["idf"].([]any)
+			v["idf"] = idf[:len(idf)-1]
+		}, "DBL vocabulary has"},
+		{"dbl dim 100", func(m map[string]any) {
+			obj(m, "dblVocab")["dim"] = 100
+		}, "DBL vocabulary"},
+		{"lbl idf gains an entry", func(m map[string]any) {
+			v := obj(m, "lblVocab")
+			v["idf"] = append(v["idf"].([]any), 1.0)
+		}, "LBL vocabulary has"},
+		{"lbl dim above topK", func(m map[string]any) {
+			obj(m, "lblVocab")["dim"] = topK + 1
+		}, "LBL vocabulary dim"},
+		{"features topK halved", func(m map[string]any) {
+			obj(m, "features")["topK"] = topK / 2
+		}, "vocabulary dim"},
+		{"topK and dims past the detector", func(m map[string]any) {
+			obj(m, "features")["topK"] = 2 * topK
+			obj(m, "dblVocab")["dim"] = 2 * topK
+			obj(m, "lblVocab")["dim"] = 2 * topK
+		}, "detector input dim"},
+		// One more input keeps the classifiers' weight shapes (the
+		// second pooling floors it away), so only the check catches it.
+		{"classifier input dim", func(m map[string]any) {
+			obj(m, "cnnConfig")["inputDim"] = topK + 1
+		}, "classifier input dim"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var m map[string]any
+			if err := json.Unmarshal(saved, &m); err != nil {
+				t.Fatal(err)
+			}
+			c.edit(m)
+			body, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Load(bytes.NewReader(body))
+			if err == nil {
+				t.Fatal("Load accepted a model whose parts disagree on dimensions")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Load error %q, want one naming %q", err, c.want)
+			}
+		})
+	}
+	if _, err := Load(bytes.NewReader(saved)); err != nil {
+		t.Fatalf("unedited model: %v", err)
+	}
+}
+
+// obj returns the JSON object at m[key].
+func obj(m map[string]any, key string) map[string]any { return m[key].(map[string]any) }
+
 func TestSeedFormatVocabularyRestoresPacked(t *testing.T) {
 	// The persisted vocabulary layer is unchanged from the seed format:
 	// string gram keys ("a|b|c", decimal labels). A vocabState decoded

@@ -8,12 +8,16 @@
 // one combined 1x1000 vector (walk-aggregated DBL ++ LBL) consumed by
 // the autoencoder detector.
 //
-// The hot path allocates little beyond its output: grams are counted on
-// packed uint64 keys (see ngram.Pack), and the labeling workspace, walk
-// traces and gram counters live in per-worker scratch recycled through
-// a sync.Pool. Samples that cannot pack (|V| > 2^15 or n-gram lengths
-// above 4) fall back to the legacy string-keyed path, which produces
-// bit-identical vectors.
+// The hot path allocates little beyond its output and builds no gram
+// map: each walk is counted straight into the vocabulary's slots
+// (ngram.Vectorizer.CountSlots), with the TF denominator in closed
+// form, and the labeling workspace, walk traces and slot counts live in
+// per-worker scratch recycled through a sync.Pool. Slot counting serves
+// every CFG size. Only a vocabulary that cannot pack (a gram longer
+// than ngram.MaxPackedN) takes the legacy string-keyed path, which
+// produces bit-identical vectors. Fitting still counts every gram on
+// packed keys (ngram.GramCounter), because document frequency needs
+// them all.
 package features
 
 import (
@@ -80,14 +84,16 @@ type Vectors struct {
 // scratch is one worker's reusable extraction state. Everything here is
 // capacity that survives between samples: the seeded RNG, the labeling
 // workspace, the walker's adjacency arena, the walk-trace buffer, and
-// the gram counters.
+// the slot counts.
 type scratch struct {
 	rng    *rand.Rand
 	labels labeling.Workspace
 	walker walk.Walker
 	trace  []int
-	walk   *ngram.GramCounter
-	agg    *ngram.GramCounter
+	// walkSlots and aggSlots count one walk's and all walks' grams by
+	// vocabulary slot (see ngram.Vectorizer.CountSlots).
+	walkSlots []int
+	aggSlots  []int
 	// aggDBL and aggLBL hold the walk-aggregated TF-IDF vectors between
 	// the per-labeling sweep and fillCombined, reused across samples.
 	aggDBL []float64
@@ -123,11 +129,7 @@ func NewExtractor(cfg Config) *Extractor {
 	}
 	e := &Extractor{cfg: cfg}
 	e.pool.New = func() any {
-		return &scratch{
-			rng:  rand.New(rand.NewSource(1)),
-			walk: ngram.NewGramCounter(),
-			agg:  ngram.NewGramCounter(),
-		}
+		return &scratch{rng: rand.New(rand.NewSource(1))}
 	}
 	return e
 }
@@ -156,7 +158,8 @@ func (e *Extractor) rngFor(salt int64) *rand.Rand {
 	return rand.New(rand.NewSource(e.walkSeed(salt)))
 }
 
-// packed reports whether the sample can take the packed-key hot path.
+// packed reports whether every gram of the sample fits a packed key, so
+// that fitting can count it on a GramCounter.
 func (e *Extractor) packed(c *disasm.CFG) bool {
 	return ngram.Packable(c.G.NumNodes()-1, e.cfg.Ns)
 }
@@ -192,9 +195,10 @@ func (e *Extractor) fitGrams(c *disasm.CFG, salt int64) (dblAgg, lblAgg *ngram.G
 	return count(dbl.Perm), count(lbl.Perm)
 }
 
-// sampleGrams is the legacy string-keyed stage, kept as the fallback
-// for samples that cannot pack: labeling + walks + n-gram counting,
-// returning per-walk gram counts for each labeling.
+// sampleGrams is the legacy string-keyed stage, kept for fitting a
+// corpus that cannot pack and for serving a vocabulary that cannot:
+// labeling + walks + n-gram counting, returning per-walk gram counts
+// for each labeling.
 func (e *Extractor) sampleGrams(c *disasm.CFG, salt int64) (dblWalks, lblWalks []map[string]int) {
 	rng := e.rngFor(salt)
 	entry := c.EntryNode()
@@ -285,16 +289,21 @@ func (e *Extractor) ExtractInto(v *Vectors, c *disasm.CFG, salt int64) (*Vectors
 	if v == nil {
 		v = new(Vectors)
 	}
-	if e.packed(c) && e.dbl.PackedReady() && e.lbl.PackedReady() {
+	if e.dbl.PackedReady() && e.lbl.PackedReady() {
 		return e.extractPacked(v, c, salt), nil
 	}
 	return e.extractStrings(v, c, salt), nil
 }
 
 // extractPacked is the allocation-lean hot path: labeling runs in the
-// pooled workspace, walks append into a pooled trace buffer, grams are
-// counted on packed keys in pooled counters, aggregates land in pooled
-// scratch, and the output vectors reuse v's storage.
+// pooled workspace, walks append into a pooled trace buffer, and each
+// walk is counted once, straight into the vocabulary's slots, which
+// returns the walk's gram total in closed form. The sample's aggregate
+// is the slot-wise sum of its walks' counts over their summed totals.
+// Labels above ngram.MaxPackedLabel (CFGs past 2^15 nodes) need no
+// other path: grams holding one cannot be in a packed vocabulary and
+// only add to the total. Aggregates land in pooled scratch, and the
+// output vectors reuse v's storage.
 func (e *Extractor) extractPacked(v *Vectors, c *disasm.CFG, salt int64) *Vectors {
 	sc := e.getScratch()
 	defer e.putScratch(sc)
@@ -308,15 +317,20 @@ func (e *Extractor) extractPacked(v *Vectors, c *disasm.CFG, salt int64) *Vector
 	v.DBL = ensureRows(v.DBL, wc)
 	v.LBL = ensureRows(v.LBL, wc)
 	runLabeling := func(vec *ngram.Vectorizer, perm []int, out [][]float64, agg []float64) []float64 {
-		sc.agg.Reset()
+		sc.walkSlots = zeroedInts(sc.walkSlots, len(vec.Vocab))
+		sc.aggSlots = zeroedInts(sc.aggSlots, len(vec.Vocab))
+		aggTotal := 0
 		for w := 0; w < wc; w++ {
 			sc.trace = sc.walker.RandomInto(sc.trace, entry, perm, steps, sc.rng)
-			sc.walk.Reset()
-			sc.walk.AddTrace(sc.trace, e.cfg.Ns)
-			out[w] = vec.VectorPackedInto(out[w], sc.walk)
-			sc.agg.Merge(sc.walk)
+			total := vec.CountSlots(sc.walkSlots, sc.trace, e.cfg.Ns)
+			out[w] = vec.VectorSlotsInto(out[w], sc.walkSlots, total)
+			for s, n := range sc.walkSlots {
+				sc.aggSlots[s] += n
+				sc.walkSlots[s] = 0
+			}
+			aggTotal += total
 		}
-		return vec.VectorPackedInto(agg, sc.agg)
+		return vec.VectorSlotsInto(agg, sc.aggSlots, aggTotal)
 	}
 	sc.aggDBL = runLabeling(e.dbl, dbl.Perm, v.DBL, sc.aggDBL)
 	sc.aggLBL = runLabeling(e.lbl, lbl.Perm, v.LBL, sc.aggLBL)
@@ -324,8 +338,8 @@ func (e *Extractor) extractPacked(v *Vectors, c *disasm.CFG, salt int64) *Vector
 	return v
 }
 
-// extractStrings is the legacy string-keyed path, used when the sample
-// or vocabulary cannot pack. Output is bit-identical to extractPacked;
+// extractStrings is the legacy string-keyed path, used only when a
+// vocabulary cannot pack. Output is bit-identical to extractPacked;
 // the per-walk vectors are freshly allocated (Vector has no reuse
 // form), only the combined storage is recycled.
 func (e *Extractor) extractStrings(v *Vectors, c *disasm.CFG, salt int64) *Vectors {
@@ -368,6 +382,17 @@ func ensureRows(s [][]float64, n int) [][]float64 {
 		return ns
 	}
 	return s[:n]
+}
+
+// zeroedInts returns s resized to n and zeroed, reusing its storage
+// when the capacity suffices.
+func zeroedInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // ensureVec returns s emptied, with capacity for at least n elements.

@@ -248,10 +248,15 @@ func TestHealthEjectReadmit(t *testing.T) {
 	}
 
 	// Recover and wait for readmission, then confirm traffic returns.
+	// Each round sends new bodies: rendezvous hashing routes a body to
+	// the same replica every time, so resending the same four would
+	// never reach b whenever all four happen to rank a first.
 	b.healthy.Store(true)
 	waitFor(t, time.Second, func() bool { return door.Healthy() == 2 })
+	round := 0
 	waitFor(t, time.Second, func() bool {
-		send(4, "readmitted")
+		send(4, fmt.Sprintf("readmitted-%d", round))
+		round++
 		return b.served.Load() > ejectedServed
 	})
 }

@@ -88,3 +88,44 @@ func FuzzParseKey(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSlotCounts checks slot counting against the string-keyed oracle
+// (and AddTrace, where it is defined) on arbitrary traces and lengths:
+// slot counts, total and vector must match bit for bit. Bytes 248–255
+// become labels MaxPackedLabel−3 … MaxPackedLabel+4, so traces cross
+// the largest packable label; the vocabulary holds grams on both sides
+// of small labels and up to MaxPackedLabel.
+func FuzzSlotCounts(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 1, 2, 3, 0, 1}, int8(2), int8(3), int8(4))
+	f.Add([]byte{0, 1, 255, 1, 2, 251, 0, 1}, int8(1), int8(2), int8(2))
+	f.Add([]byte{}, int8(2), int8(0), int8(-1))
+	f.Add([]byte{5}, int8(5), int8(4), int8(1))
+	f.Add([]byte{248, 249, 250, 251, 252, 253, 254, 255, 0, 0, 0}, int8(4), int8(3), int8(2))
+	f.Add([]byte{3, 3, 3, 3, 3, 3, 3}, int8(127), int8(-128), int8(3))
+
+	label := func(b byte) int {
+		if b >= 248 {
+			return MaxPackedLabel - 3 + int(b-248)
+		}
+		return int(b % 8)
+	}
+	var fit []int
+	for i := 0; i < 300; i++ {
+		fit = append(fit, label(byte(i*37%256)))
+	}
+	v := Fit([]map[string]int{Grams(fit, []int{1, 2, 3, 4})}, 24)
+	if !v.PackedReady() {
+		f.Fatal("fuzz vocabulary must pack")
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, n0, n1, n2 int8) {
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		trace := make([]int, len(data))
+		for i, b := range data {
+			trace[i] = label(b)
+		}
+		checkSlots(t, v, trace, []int{int(n0), int(n1), int(n2)})
+	})
+}

@@ -69,9 +69,13 @@ type Vectorizer struct {
 
 	index map[string]int
 	// pkeys holds the packed form of each vocab entry, by slot; nil
-	// when some entry cannot pack (see Packable) or is not in the form
-	// Key renders, in which case only the string path is available.
+	// when some entry cannot pack (see Packable), is not in the form
+	// Key renders or repeats another, in which case only the string
+	// path is available.
 	pkeys []uint64
+	// slots maps each of pkeys to its slot (see CountSlots). Built with
+	// pkeys, never lazily, so concurrent readers need no lock.
+	slots slotTable
 }
 
 // idf is the smoothed inverse document frequency shared by every fit

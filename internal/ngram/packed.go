@@ -14,14 +14,14 @@ import (
 // uint64: 15 bits per label (label j of the gram occupies bits
 // [15j, 15j+15)) plus the gram length in the top 4 bits. Counting grams
 // on packed keys removes the per-occurrence string allocation of the
-// legacy map[string]int path — the extraction hot path becomes integer
-// hashing only.
+// legacy map[string]int path. GramCounter counts every packed gram,
+// which fitting needs (document frequency covers every gram); serving
+// counts only vocabulary grams, into slots (see CountSlots).
 //
-// Fallback: a CFG with |V| > 2^15 (label values that do not fit 15
-// bits) or a configuration with n-gram lengths above 4 cannot pack;
-// callers must check Packable and route such samples through the
-// string-keyed path (Grams/AddGrams/Vector), which remains fully
-// supported and produces identical vectors.
+// A vocabulary entry with a label above MaxPackedLabel or more than
+// MaxPackedN labels cannot pack; such a vocabulary is served by the
+// string-keyed path (Grams/AddGrams/Vector), which produces identical
+// vectors.
 const (
 	// PackBits is the width of one label field in a packed key.
 	PackBits = 15
@@ -209,9 +209,7 @@ func FitPacked(corpus []*GramCounter, k int) *Vectorizer {
 		IDF:   make([]float64, len(keys)),
 		Dim:   k,
 		index: make(map[string]int, len(keys)),
-		pkeys: make([]uint64, len(keys)),
 	}
-	copy(v.pkeys, keys)
 	n := float64(len(corpus))
 	for i, g := range keys {
 		s := strs[g]
@@ -219,11 +217,14 @@ func FitPacked(corpus []*GramCounter, k int) *Vectorizer {
 		v.index[s] = i
 		v.IDF[i] = idf(n, df[g])
 	}
+	v.pkeys = append([]uint64(nil), keys...)
+	v.slots, _ = newSlotTable(v.pkeys) // map keys are distinct
 	return v
 }
 
 // PackedReady reports whether the vectorizer can serve packed lookups
-// (every vocabulary entry parsed into a packable gram).
+// and slot counting (every vocabulary entry parsed into a distinct
+// packable gram).
 func (v *Vectorizer) PackedReady() bool { return v.pkeys != nil }
 
 // VectorPacked is Vector over a packed-gram counter. It produces
@@ -244,13 +245,7 @@ func (v *Vectorizer) VectorPacked(c *GramCounter) []float64 {
 // single write per occupied slot, so reuse can never leak a previous
 // vector's values.
 func (v *Vectorizer) VectorPackedInto(dst []float64, c *GramCounter) []float64 {
-	var out []float64
-	if cap(dst) < v.Dim {
-		out = make([]float64, v.Dim)
-	} else {
-		out = dst[:v.Dim]
-		clear(out)
-	}
+	out := v.output(dst)
 	if c.total == 0 {
 		return out
 	}
@@ -269,26 +264,37 @@ func (v *Vectorizer) VectorPackedInto(dst []float64, c *GramCounter) []float64 {
 	return out
 }
 
-// buildPackedIndex derives the packed keys from the string vocabulary,
-// leaving pkeys nil (packed lookups disabled) when any entry cannot
-// pack — the |V| > 2^15 / n > 4 fallback — or is not in the canonical
-// form Key renders, so that distinct entries always pack to distinct
-// keys.
+// output returns dst resized to Dim and zeroed, or a fresh vector when
+// dst is too small.
+func (v *Vectorizer) output(dst []float64) []float64 {
+	if cap(dst) < v.Dim {
+		return make([]float64, v.Dim)
+	}
+	out := dst[:v.Dim]
+	clear(out)
+	return out
+}
+
+// buildPackedIndex derives the packed keys and slot table from the
+// string vocabulary. It leaves packed lookups disabled (pkeys nil) when
+// any entry cannot pack (a label above MaxPackedLabel or more than
+// MaxPackedN labels), is not in the canonical form Key renders, or
+// repeats another entry, so that every slot has its own packed key.
 func (v *Vectorizer) buildPackedIndex() {
 	pkeys := make([]uint64, len(v.Vocab))
 	for i, s := range v.Vocab {
 		gram, err := ParseKey(s)
 		if err != nil || len(gram) == 0 || len(gram) > MaxPackedN || Key(gram) != s {
-			v.pkeys = nil
 			return
 		}
 		for _, lab := range gram {
 			if lab > MaxPackedLabel {
-				v.pkeys = nil
 				return
 			}
 		}
 		pkeys[i] = Pack(gram)
 	}
-	v.pkeys = pkeys
+	if t, ok := newSlotTable(pkeys); ok {
+		v.pkeys, v.slots = pkeys, t
+	}
 }

@@ -107,7 +107,7 @@ func TestAdminAPI(t *testing.T) {
 }
 
 func TestAdminAPIErrors(t *testing.T) {
-	h, _, id1, _, _ := adminFixture(t)
+	h, _, id1, _, saved2 := adminFixture(t)
 
 	if rec := do(t, h, "POST", "/models/feedfacefeedface/activate", nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("activate unknown = %d, want 404", rec.Code)
@@ -123,6 +123,22 @@ func TestAdminAPIErrors(t *testing.T) {
 	}
 	if rec := do(t, h, "POST", "/models", []byte("not a model")); rec.Code != http.StatusBadRequest {
 		t.Fatalf("POST junk model = %d, want 400", rec.Code)
+	}
+	// A model that decodes but cannot serve (an IDF weight missing)
+	// is refused, not registered to panic on its first request.
+	var m map[string]any
+	if err := json.Unmarshal(saved2, &m); err != nil {
+		t.Fatal(err)
+	}
+	vocab := m["dblVocab"].(map[string]any)
+	idf := vocab["idf"].([]any)
+	vocab["idf"] = idf[:len(idf)-1]
+	short, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := do(t, h, "POST", "/models", short); rec.Code != http.StatusBadRequest {
+		t.Fatalf("POST model with a short IDF list = %d, want 400", rec.Code)
 	}
 	if rec := do(t, h, "GET", "/models/"+id1+"/activate", nil); rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET activate = %d, want 405", rec.Code)

@@ -49,7 +49,7 @@ echo "== soterialint (nine analyzers, interprocedural facts)"
 go run ./cmd/soterialint ./...
 
 echo "== race suite"
-go test -race ./internal/features ./internal/nn ./internal/core \
+go test -race ./internal/features ./internal/ngram ./internal/nn ./internal/core \
     ./internal/par ./internal/walk ./internal/autoenc ./internal/cnn \
     ./internal/obs ./internal/lint ./internal/store ./internal/fleet ./internal/registry \
     ./internal/graph ./internal/labeling
