@@ -23,6 +23,12 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 // change that moves training, saved-model bytes or scoring arithmetic
 // by one ulp fails here. Regenerate only for an intended model change:
 // `go test ./internal/core -run TestDecisionsMatchGolden -update`.
+//
+// The golden lines come from one AnalyzeBatch, whose scoring runs the
+// multi-row kernels. A served request is scored alone, on the
+// single-row kernel, so every sample is also scored by itself — through
+// Analyze and through a one-sample AnalyzeBatch — and both must print
+// the same golden lines.
 func TestDecisionsMatchGolden(t *testing.T) {
 	pipes, corpus := batchEnv(t)
 
@@ -49,6 +55,22 @@ func TestDecisionsMatchGolden(t *testing.T) {
 		salts[i] = int64(7000 + i)
 	}
 
+	alone := []struct {
+		path  string
+		score func(p *Pipeline, i int) (*Decision, error)
+		lines strings.Builder
+	}{
+		{path: "Analyze", score: func(p *Pipeline, i int) (*Decision, error) {
+			return p.Analyze(cfgs[i], salts[i])
+		}},
+		{path: "a one-sample AnalyzeBatch", score: func(p *Pipeline, i int) (*Decision, error) {
+			decs, err := p.AnalyzeBatch(cfgs[i:i+1], salts[i:i+1])
+			if err != nil {
+				return nil, err
+			}
+			return decs[0], nil
+		}},
+	}
 	var b strings.Builder
 	for _, perWalk := range []bool{false, true} {
 		p := pipes[perWalk]
@@ -56,14 +78,24 @@ func TestDecisionsMatchGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&b, "perWalk=%v fingerprint=%x\n", perWalk, fp)
+		header := fmt.Sprintf("perWalk=%v fingerprint=%x\n", perWalk, fp)
+		b.WriteString(header)
 		decs, err := p.AnalyzeBatch(cfgs, salts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, d := range decs {
-			fmt.Fprintf(&b, "perWalk=%v sample=%d adversarial=%v re=%016x class=%v\n",
-				perWalk, i, d.Adversarial, math.Float64bits(d.RE), d.Class)
+			writeGoldenLine(&b, perWalk, i, d)
+		}
+		for a := range alone {
+			alone[a].lines.WriteString(header)
+			for i := range cfgs {
+				d, err := alone[a].score(p, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				writeGoldenLine(&alone[a].lines, perWalk, i, d)
+			}
 		}
 	}
 	got := b.String()
@@ -84,4 +116,14 @@ func TestDecisionsMatchGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("decisions drifted from golden file:\ngot:\n%s\nwant:\n%s", got, want)
 	}
+	for a := range alone {
+		if got := alone[a].lines.String(); got != string(want) {
+			t.Errorf("samples scored alone through %s drifted from golden file:\ngot:\n%s\nwant:\n%s", alone[a].path, got, want)
+		}
+	}
+}
+
+func writeGoldenLine(b *strings.Builder, perWalk bool, i int, d *Decision) {
+	fmt.Fprintf(b, "perWalk=%v sample=%d adversarial=%v re=%016x class=%v\n",
+		perWalk, i, d.Adversarial, math.Float64bits(d.RE), d.Class)
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -120,6 +122,62 @@ func TestFingerprintInvalidation(t *testing.T) {
 	}
 	if fp2 == fp1 {
 		t.Fatal("fingerprint unchanged after mutating Alpha and invalidating")
+	}
+}
+
+// TestLoadRejectsOutOfRangeWeight and
+// TestNonFiniteWeightFailsFingerprintAndSave pin the precondition that
+// single-row scoring's bit-identity rests on (see nn's gemmVec): every
+// weight a pipeline serves is finite. A model file cannot bring in a
+// weight beyond float64 range, and a pipeline whose weight became NaN
+// cannot be fingerprinted or saved, so it never passes the fingerprint
+// stamp that Train and Load give every served model.
+func TestLoadRejectsOutOfRangeWeight(t *testing.T) {
+	p, _, _ := cachePipeline(t)
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	w := string(m["dblWeights"])
+	comma := strings.IndexByte(w, ',')
+	if !strings.HasPrefix(w, "[") || comma < 0 {
+		t.Fatalf("dblWeights is not a list of several weights: %.40s", w)
+	}
+	m["dblWeights"] = json.RawMessage("[1e400" + w[comma:])
+	body, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Load(bytes.NewReader(body))
+	if err == nil {
+		t.Fatal("Load accepted a weight of 1e400")
+	}
+	if !strings.Contains(err.Error(), "decode model") || !strings.Contains(err.Error(), "dblWeights") {
+		t.Fatalf("Load error %q, want a decode error naming dblWeights", err)
+	}
+}
+
+func TestNonFiniteWeightFailsFingerprintAndSave(t *testing.T) {
+	shared, _, _ := cachePipeline(t)
+	var buf bytes.Buffer
+	if err := shared.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Load(&buf) // private copy; the mutation must not leak
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Ensemble.DBL.Network().Params()[0].W.Data[0] = math.NaN()
+	p.InvalidateFingerprint()
+	if _, err := p.Fingerprint(); err == nil {
+		t.Fatal("Fingerprint succeeded on a pipeline with a NaN weight")
+	}
+	if err := p.Save(io.Discard); err == nil {
+		t.Fatal("Save succeeded on a pipeline with a NaN weight")
 	}
 }
 

@@ -37,14 +37,30 @@ import (
 //   - Zero skipping. A quad of a-values that is entirely zero skips its
 //     four B rows. Post-ReLU activations are roughly half zeros, so
 //     this recovers a large part of the seed kernel's per-element zero
-//     skip at a quarter of the branch cost.
+//     skip at a quarter of the branch cost. A single-row product
+//     (gemmVec: M = 1, not accumulating, wider than the panels — each
+//     Dense layer of a detector scoring one sample) skips per term
+//     instead: inside a live quad it loads and adds only the B rows
+//     whose coefficient is nonzero, still summed left to right in
+//     ascending k. Scoring inputs are about 60% zeros but only 15-40%
+//     of their quads are all zero, so the quad rule alone still
+//     streams about 80% of the weights for one sample. For a finite B
+//     a dropped term is 0*b = ±0, so every nonzero output keeps its
+//     exact bits and at most the sign of an exact zero differs, which
+//     nothing downstream sees: ReLU compares with 0, the next product
+//     skips on == 0, RMSE squares and softmax exponentiates. The
+//     finite-weight precondition is spelled out at gemmVec. The
+//     multi-row kernels keep the quad rule: there a loaded B row feeds
+//     two destination rows (or a whole register tile), a batched row
+//     costs a fraction of a lone one, and a row's bits must not depend
+//     on which pair or shard it lands in.
 //
 //   - Row pairing. The blocked kernel processes destination rows two at
 //     a time, so each loaded B segment feeds eight multiply-adds
 //     instead of four; when only one row of a pair has a live a-quad
 //     the kernel falls back to that row alone, which keeps the
 //     arithmetic (and the zero-skip behaviour on non-finite inputs)
-//     identical to the single-row path element by element.
+//     identical to gemmRow's, the odd row's path, element by element.
 //
 //   - Two kernel families, one arithmetic. Narrow non-accumulating
 //     products (n <= gemmNarrowMax: the conv filter banks and slim
@@ -213,7 +229,7 @@ func gemm(dst, a, b *Matrix, aT, bT, acc bool, bias []float64, relu bool) {
 		bData, ldb = s, n
 	}
 
-	// Both branches allocate nothing: the serial one calls the kernel
+	// Every branch allocates nothing: the serial ones call a kernel
 	// directly, and the sharded one hands the pool a pooled task whose
 	// row body was bound once (see gemmTask).
 	t := gemmTask{
@@ -221,7 +237,9 @@ func gemm(dst, a, b *Matrix, aT, bT, acc bool, bias []float64, relu bool) {
 		lda: lda, ldb: ldb, k: k, n: n,
 		acc: acc, relu: relu, panels: !acc && n <= gemmNarrowMax,
 	}
-	if work := m * k * n; work < parallelThreshold || m < 2 || par.Workers() == 1 {
+	if m == 1 && !acc && !t.panels {
+		gemmVec(dst.Data, aData[:k], bData, ldb, bias, relu)
+	} else if work := m * k * n; work < parallelThreshold || m < 2 || par.Workers() == 1 {
 		t.rows(0, m)
 	} else {
 		pt := gemmTaskPool.Get().(*gemmTask)
@@ -351,7 +369,11 @@ func gemmRowReLU(drow []float64) {
 }
 
 // gemmRow accumulates the k-block [kc, ke) into the column tile
-// [jc, je) of destination row i.
+// [jc, je) of destination row i under the quad rule: the odd row of a
+// multi-row product and every accumulating row. A product of one
+// non-accumulating row runs gemmVec instead, whose per-term skip keeps
+// this loop's bits only because every weight is finite — see the
+// precondition there.
 func gemmRow(dst []float64, ldd int, a []float64, lda int, b []float64, ldb int, i, jc, je, kc, ke, k int, acc bool, bias []float64, relu bool) {
 	arow := a[i*lda : i*lda+k]
 	drow := dst[i*ldd+jc : i*ldd+je]
@@ -394,6 +416,105 @@ func gemmRow(dst []float64, ldd int, a []float64, lda int, b []float64, ldb int,
 	}
 	if relu && ke == k && !acc {
 		gemmRowReLU(drow)
+	}
+}
+
+// gemmVec computes the single-row product drow = arow @ b (+ bias, then
+// ReLU) for every M = 1 non-accumulating product the panel kernels do
+// not take. Each destination element sees gemmRow's sequence — the
+// bias seed, one sum per ascending k-quad added into it, the k%4
+// singles one by one, the ReLU clamp — except that a quad's sum holds
+// only the terms whose coefficient is nonzero, still reduced left to
+// right (rowTerms). The all-zero quad and the zero single skip as
+// before. Column tiles buy a single row no B reuse, so each quad
+// streams whole B rows into the whole destination row; at the paper's
+// widths that took about half the time of 512-column tiles
+// (BenchmarkDetectorScore/paper1000).
+//
+// Precondition: b is finite. A term dropped for a zero coefficient is
+// then 0*b = ±0, and adding ±0 to a partial sum changes nothing but
+// the sign of an exact zero, so every nonzero element keeps gemmRow's
+// exact bits and a zero element can differ only in sign. With an
+// infinite or NaN weight the dropped term would have been NaN, which
+// gemmRow propagates and this path would not. Every weight a pipeline
+// serves is finite because Train and Load both stamp its fingerprint
+// by encoding the model as JSON, which rejects NaN and ±Inf, and a
+// model file holding a number out of float64 range does not decode.
+// A model format that can carry non-finite weights must reject them
+// before they reach this path.
+func gemmVec(drow, arow, b []float64, ldb int, bias []float64, relu bool) {
+	k, n := len(arow), len(drow)
+	gemmRowInit(drow, bias, 0, n)
+	var av [4]float64
+	var bs [4][]float64
+	kk := 0
+	for ; kk+4 <= k; kk += 4 {
+		t := 0
+		for q, c := range arow[kk : kk+4] {
+			if c != 0 {
+				r := (kk + q) * ldb
+				av[t], bs[t] = c, b[r:r+n]
+				t++
+			}
+		}
+		if t > 0 {
+			rowTerms(drow, &av, &bs, t)
+		}
+	}
+	for ; kk < k; kk++ {
+		if c := arow[kk]; c != 0 {
+			av[0], bs[0] = c, b[kk*ldb:kk*ldb+n]
+			rowTerms(drow, &av, &bs, 1)
+		}
+	}
+	if relu {
+		gemmRowReLU(drow)
+	}
+}
+
+// rowTerms adds the first t (1 to 4) terms of a quad into d:
+//
+//	d[z] += av[0]*bs[0][z] + ... + av[t-1]*bs[t-1][z]
+//
+// with the sum reduced left to right before the one add into d, on the
+// AVX kernel of that width or in the same expression in Go.
+func rowTerms(d []float64, av *[4]float64, bs *[4][]float64, t int) {
+	n := len(d)
+	if useAVX {
+		switch t {
+		case 1:
+			rowTerm1AVX(&d[0], &bs[0][0], n, av)
+		case 2:
+			rowTerm2AVX(&d[0], &bs[0][0], &bs[1][0], n, av)
+		case 3:
+			rowTerm3AVX(&d[0], &bs[0][0], &bs[1][0], &bs[2][0], n, av)
+		default:
+			rowQuadAVX(&d[0], &bs[0][0], &bs[1][0], &bs[2][0], &bs[3][0], n, av)
+		}
+		return
+	}
+	a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
+	b0 := bs[0][:n]
+	switch t {
+	case 1:
+		for z := range d {
+			d[z] += a0 * b0[z]
+		}
+	case 2:
+		b1 := bs[1][:n]
+		for z := range d {
+			d[z] += a0*b0[z] + a1*b1[z]
+		}
+	case 3:
+		b1, b2 := bs[1][:n], bs[2][:n]
+		for z := range d {
+			d[z] += a0*b0[z] + a1*b1[z] + a2*b2[z]
+		}
+	default:
+		b1, b2, b3 := bs[1][:n], bs[2][:n], bs[3][:n]
+		for z := range d {
+			d[z] += a0*b0[z] + a1*b1[z] + a2*b2[z] + a3*b3[z]
+		}
 	}
 }
 

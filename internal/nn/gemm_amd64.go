@@ -33,6 +33,23 @@ func pairQuadAVX(d0, d1, b0, b1, b2, b3 *float64, n int, a *[8]float64)
 //go:noescape
 func rowQuadAVX(d, b0, b1, b2, b3 *float64, n int, a *[4]float64)
 
+// rowTerm3AVX, rowTerm2AVX and rowTerm1AVX are rowQuadAVX with only
+// its first three, two or one terms, for a quad whose zero coefficients
+// gemmVec has dropped:
+//
+//	d[z] += a[0]*b0[z] + a[1]*b1[z] + a[2]*b2[z]
+//	d[z] += a[0]*b0[z] + a[1]*b1[z]
+//	d[z] += a[0]*b0[z]
+//
+//go:noescape
+func rowTerm3AVX(d, b0, b1, b2 *float64, n int, a *[4]float64)
+
+//go:noescape
+func rowTerm2AVX(d, b0, b1 *float64, n int, a *[4]float64)
+
+//go:noescape
+func rowTerm1AVX(d, b0 *float64, n int, a *[4]float64)
+
 // panelTile8AVX is the fully fused narrow-panel kernel for one 8-wide
 // column tile: for each of rows destination rows (row stride ldd) it
 // seeds d[0:8] from bias (zero when bias is nil), accumulates all k

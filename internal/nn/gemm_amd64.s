@@ -1,9 +1,9 @@
 // AVX micro-kernels for the blocked GEMM in gemm.go.
 //
 // Determinism contract: every output element receives exactly the same
-// sequence of IEEE-754 operations as the scalar Go loops — four
-// multiplies reduced left to right by three adds, then one add into the
-// destination. The kernels therefore use separate VMULPD/VADDPD and
+// sequence of IEEE-754 operations as the scalar Go loops — a quad's
+// multiplies (all four, or the one to three live ones gemmVec keeps)
+// reduced left to right, then one add into the destination. The kernels therefore use separate VMULPD/VADDPD and
 // never FMA (which rounds once instead of twice), and vector lanes map
 // to adjacent output elements, so vector width does not change any
 // element's arithmetic. Results are bit-identical to the scalar path.
@@ -198,6 +198,170 @@ rtail:
 	JMP  rtail
 
 rdone:
+	VZEROUPPER
+	RET
+
+// func rowTerm3AVX(d, b0, b1, b2 *float64, n int, a *[4]float64)
+//
+// d[z] += a[0]*b0[z] + a[1]*b1[z] + a[2]*b2[z]: rowQuadAVX with its
+// last term dropped, for a quad with one zero coefficient.
+TEXT ·rowTerm3AVX(SB), NOSPLIT, $0-48
+	MOVQ d+0(FP), DI
+	MOVQ b0+8(FP), R8
+	MOVQ b1+16(FP), R9
+	MOVQ b2+24(FP), R10
+	MOVQ n+32(FP), CX
+	MOVQ a+40(FP), DX
+
+	VBROADCASTSD 0(DX), Y0
+	VBROADCASTSD 8(DX), Y1
+	VBROADCASTSD 16(DX), Y2
+
+	XORQ R12, R12
+	MOVQ CX, R13
+	SUBQ $3, R13
+	JLE  r3tail
+
+r3vec:
+	CMPQ R12, R13
+	JGE  r3tail
+	VMOVUPD (R8)(R12*8), Y8
+	VMOVUPD (R9)(R12*8), Y9
+	VMOVUPD (R10)(R12*8), Y10
+
+	VMULPD  Y8, Y0, Y12
+	VMULPD  Y9, Y1, Y13
+	VADDPD  Y13, Y12, Y12
+	VMULPD  Y10, Y2, Y13
+	VADDPD  Y13, Y12, Y12
+	VMOVUPD (DI)(R12*8), Y14
+	VADDPD  Y12, Y14, Y14
+	VMOVUPD Y14, (DI)(R12*8)
+
+	ADDQ $4, R12
+	JMP  r3vec
+
+r3tail:
+	CMPQ R12, CX
+	JGE  r3done
+	VMOVSD (R8)(R12*8), X8
+	VMOVSD (R9)(R12*8), X9
+	VMOVSD (R10)(R12*8), X10
+
+	VMULSD X8, X0, X12
+	VMULSD X9, X1, X13
+	VADDSD X13, X12, X12
+	VMULSD X10, X2, X13
+	VADDSD X13, X12, X12
+	VMOVSD (DI)(R12*8), X14
+	VADDSD X12, X14, X14
+	VMOVSD X14, (DI)(R12*8)
+
+	INCQ R12
+	JMP  r3tail
+
+r3done:
+	VZEROUPPER
+	RET
+
+// func rowTerm2AVX(d, b0, b1 *float64, n int, a *[4]float64)
+//
+// d[z] += a[0]*b0[z] + a[1]*b1[z]
+TEXT ·rowTerm2AVX(SB), NOSPLIT, $0-40
+	MOVQ d+0(FP), DI
+	MOVQ b0+8(FP), R8
+	MOVQ b1+16(FP), R9
+	MOVQ n+24(FP), CX
+	MOVQ a+32(FP), DX
+
+	VBROADCASTSD 0(DX), Y0
+	VBROADCASTSD 8(DX), Y1
+
+	XORQ R12, R12
+	MOVQ CX, R13
+	SUBQ $3, R13
+	JLE  r2tail
+
+r2vec:
+	CMPQ R12, R13
+	JGE  r2tail
+	VMOVUPD (R8)(R12*8), Y8
+	VMOVUPD (R9)(R12*8), Y9
+
+	VMULPD  Y8, Y0, Y12
+	VMULPD  Y9, Y1, Y13
+	VADDPD  Y13, Y12, Y12
+	VMOVUPD (DI)(R12*8), Y14
+	VADDPD  Y12, Y14, Y14
+	VMOVUPD Y14, (DI)(R12*8)
+
+	ADDQ $4, R12
+	JMP  r2vec
+
+r2tail:
+	CMPQ R12, CX
+	JGE  r2done
+	VMOVSD (R8)(R12*8), X8
+	VMOVSD (R9)(R12*8), X9
+
+	VMULSD X8, X0, X12
+	VMULSD X9, X1, X13
+	VADDSD X13, X12, X12
+	VMOVSD (DI)(R12*8), X14
+	VADDSD X12, X14, X14
+	VMOVSD X14, (DI)(R12*8)
+
+	INCQ R12
+	JMP  r2tail
+
+r2done:
+	VZEROUPPER
+	RET
+
+// func rowTerm1AVX(d, b0 *float64, n int, a *[4]float64)
+//
+// d[z] += a[0]*b0[z]: one multiply and one add per element, which is
+// also the scalar single-term update of the k%4 remainder.
+TEXT ·rowTerm1AVX(SB), NOSPLIT, $0-32
+	MOVQ d+0(FP), DI
+	MOVQ b0+8(FP), R8
+	MOVQ n+16(FP), CX
+	MOVQ a+24(FP), DX
+
+	VBROADCASTSD 0(DX), Y0
+
+	XORQ R12, R12
+	MOVQ CX, R13
+	SUBQ $3, R13
+	JLE  r1tail
+
+r1vec:
+	CMPQ R12, R13
+	JGE  r1tail
+	VMOVUPD (R8)(R12*8), Y8
+
+	VMULPD  Y8, Y0, Y12
+	VMOVUPD (DI)(R12*8), Y14
+	VADDPD  Y12, Y14, Y14
+	VMOVUPD Y14, (DI)(R12*8)
+
+	ADDQ $4, R12
+	JMP  r1vec
+
+r1tail:
+	CMPQ R12, CX
+	JGE  r1done
+	VMOVSD (R8)(R12*8), X8
+
+	VMULSD X8, X0, X12
+	VMOVSD (DI)(R12*8), X14
+	VADDSD X12, X14, X14
+	VMOVSD X14, (DI)(R12*8)
+
+	INCQ R12
+	JMP  r1tail
+
+r1done:
 	VZEROUPPER
 	RET
 
