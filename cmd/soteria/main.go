@@ -311,10 +311,11 @@ const maxAnalyzeBody = 16 << 20
 
 // serveHandler builds the serve-mode HTTP handler: /analyze (POST raw
 // SOTB bytes, decisions via the active model version's micro-batching
-// Batcher), /models (the model registry's load/activate/shadow admin
-// API), /metrics (the registry's JSON snapshot), /healthz, and the
-// standard pprof endpoints on an explicit mux (nothing else leaks in
-// from http.DefaultServeMux).
+// Batcher, which answers a cached repeat before parsing; bytes that do
+// not parse or disassemble get 400), /models (the model registry's
+// load/activate/shadow admin API), /metrics (the registry's JSON
+// snapshot), /healthz, and the standard pprof endpoints on an explicit
+// mux (nothing else leaks in from http.DefaultServeMux).
 func serveHandler(reg *soteria.Registry, mr *soteria.ModelRegistry) http.Handler {
 	mux := http.NewServeMux()
 	admin := mr.AdminHandler()
@@ -347,19 +348,13 @@ func serveHandler(reg *soteria.Registry, mr *soteria.ModelRegistry) http.Handler
 				return
 			}
 		}
-		bin, err := soteria.ParseBinary(raw)
+		dec, err := mr.Submit(r.Context(), raw, salt)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		cfg, err := soteria.Disassemble(bin)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		dec, err := mr.Submit(r.Context(), cfg, salt)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			status := http.StatusInternalServerError
+			if errors.Is(err, soteria.ErrBadBinary) {
+				status = http.StatusBadRequest
+			}
+			http.Error(w, err.Error(), status)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

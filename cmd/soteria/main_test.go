@@ -234,7 +234,8 @@ func bodyClose(t *testing.T, res *http.Response) {
 
 // TestServeHandler covers the -serve surface with httptest: /healthz,
 // /metrics (JSON snapshot with training and serving metrics), /analyze
-// (batched decisions matching a direct Analyze call), and the pprof
+// (batched, cached decisions matching a direct Analyze call; 400 for
+// bytes that do not parse or disassemble, never cached), and the pprof
 // endpoints.
 func TestServeHandler(t *testing.T) {
 	if testing.Short() {
@@ -263,7 +264,16 @@ func TestServeHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr := soteria.NewModelRegistry(soteria.ModelRegistryConfig{Obs: reg})
+	cache, err := soteria.OpenCache(soteria.CacheConfig{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := cache.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	mr := soteria.NewModelRegistry(soteria.ModelRegistryConfig{Obs: reg, Cache: cache})
 	defer mr.Close()
 	id, err := soteria.AddModel(mr, sys)
 	if err != nil {
@@ -341,13 +351,40 @@ func TestServeHandler(t *testing.T) {
 	if res.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /analyze status %d, want 405", res.StatusCode)
 	}
-	res, err = http.Post(srv.URL+"/analyze", "application/octet-stream", strings.NewReader("not a binary"))
+	// A body that does not parse, POSTed twice with the same salt, is a
+	// client error both times: the failure is not cached.
+	cached := cache.Len()
+	for i := 0; i < 2; i++ {
+		res, err = http.Post(srv.URL+"/analyze?salt=3", "application/octet-stream", strings.NewReader("not a binary"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodyClose(t, res)
+		if res.StatusCode != http.StatusBadRequest {
+			t.Fatalf("junk /analyze #%d status %d, want 400", i+1, res.StatusCode)
+		}
+	}
+	// A body that decodes as SOTB but whose entry point lies outside
+	// every section does not disassemble.
+	bad := *corpus[0].Binary
+	bad.Entry = 0xdead000
+	badRaw, err := bad.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := soteria.ParseBinary(badRaw); err != nil {
+		t.Fatalf("the bad-entry body must decode: %v", err)
+	}
+	res, err = http.Post(srv.URL+"/analyze", "application/octet-stream", bytes.NewReader(badRaw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	bodyClose(t, res)
 	if res.StatusCode != http.StatusBadRequest {
-		t.Fatalf("junk /analyze status %d, want 400", res.StatusCode)
+		t.Fatalf("undisassemblable /analyze status %d, want 400", res.StatusCode)
+	}
+	if n := cache.Len(); n != cached {
+		t.Fatalf("cache holds %d verdicts after failed requests, want %d", n, cached)
 	}
 	res, err = http.Post(srv.URL+"/analyze", "application/octet-stream", bytes.NewReader(make([]byte, maxAnalyzeBody+1)))
 	if err != nil {

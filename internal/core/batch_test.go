@@ -59,6 +59,35 @@ func batchEnv(t *testing.T) (map[bool]*Pipeline, []*malgen.Sample) {
 	return batchPipes, batchCorpus
 }
 
+// corpusRaws returns the SOTB encoding of every batchEnv sample: the
+// bytes a Batcher submitter sends.
+func corpusRaws(t *testing.T) [][]byte {
+	t.Helper()
+	_, corpus := batchEnv(t)
+	raws := make([][]byte, len(corpus))
+	for i, s := range corpus {
+		raw, err := s.Binary.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws[i] = raw
+	}
+	return raws
+}
+
+// undecodableEntry returns s's binary re-encoded with an entry point
+// outside every section: it parses as SOTB but does not disassemble.
+func undecodableEntry(t *testing.T, s *malgen.Sample) []byte {
+	t.Helper()
+	bad := *s.Binary
+	bad.Entry = 0xdead000
+	raw, err := bad.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // TestAnalyzeBatchMatchesAnalyze pins the tentpole equivalence: the
 // chunked two-stage batch path must reproduce every per-sample Analyze
 // decision bit for bit — RE included — with the per-walk detector both
@@ -141,6 +170,7 @@ func TestAnalyzeBinaryBatchReportsLowestBadSample(t *testing.T) {
 // the same salt.
 func TestBatcherMatchesAnalyze(t *testing.T) {
 	pipes, corpus := batchEnv(t)
+	raws := corpusRaws(t)
 	p := pipes[false]
 	b := NewBatcher(p)
 	defer b.Close()
@@ -153,7 +183,7 @@ func TestBatcherMatchesAnalyze(t *testing.T) {
 			defer wg.Done()
 			i := g % len(corpus)
 			salt := int64(5000 + i)
-			got, err := b.Submit(context.Background(), corpus[i].CFG, salt)
+			got, err := b.Submit(context.Background(), raws[i], salt)
 			if err != nil {
 				failures[g] = err.Error()
 				return
@@ -177,14 +207,29 @@ func TestBatcherMatchesAnalyze(t *testing.T) {
 }
 
 // TestBatcherPropagatesPerRequestErrors pins that a failing sample
-// fails only its own submitter and leaves the batcher serving.
+// fails only its own submitter and leaves the batcher serving: bytes
+// that do not parse, or whose entry does not disassemble, fail with
+// ErrBadBinary, and an extraction failure with the extractor's error.
 func TestBatcherPropagatesPerRequestErrors(t *testing.T) {
-	_, corpus := batchEnv(t)
-	unfitted := &Pipeline{Extractor: features.NewExtractor(features.Config{})}
-	b := NewBatcher(unfitted)
+	pipes, corpus := batchEnv(t)
+	raws := corpusRaws(t)
+	b := NewBatcher(pipes[false])
 	defer b.Close()
+	for _, bad := range [][]byte{[]byte("junk"), undecodableEntry(t, corpus[0])} {
+		if _, err := b.Submit(context.Background(), bad, 0); !errors.Is(err, ErrBadBinary) {
+			t.Fatalf("bad binary: err = %v, want ErrBadBinary", err)
+		}
+		if _, err := b.Submit(context.Background(), raws[0], 0); err != nil {
+			t.Fatalf("good binary after a bad one: %v", err)
+		}
+	}
+
+	unfitted := &Pipeline{Extractor: features.NewExtractor(features.Config{})}
+	u := NewBatcher(unfitted)
+	defer u.Close()
 	for i := 0; i < 3; i++ {
-		if _, err := b.Submit(context.Background(), corpus[0].CFG, int64(i)); !errors.Is(err, features.ErrNotFitted) {
+		_, err := u.Submit(context.Background(), raws[0], int64(i))
+		if !errors.Is(err, features.ErrNotFitted) || errors.Is(err, ErrBadBinary) {
 			t.Fatalf("submit %d: err = %v, want ErrNotFitted", i, err)
 		}
 	}
@@ -195,7 +240,8 @@ func TestBatcherPropagatesPerRequestErrors(t *testing.T) {
 // hang and never a zero decision — and Submit after Close (and double
 // Close) are safe.
 func TestBatcherCloseMidFlight(t *testing.T) {
-	pipes, corpus := batchEnv(t)
+	pipes, _ := batchEnv(t)
+	raws := corpusRaws(t)
 	p := pipes[false]
 	b := NewBatcher(p)
 
@@ -206,8 +252,8 @@ func TestBatcherCloseMidFlight(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for iter := 0; ; iter++ {
-				i := (g + iter) % len(corpus)
-				dec, err := b.Submit(context.Background(), corpus[i].CFG, int64(i))
+				i := (g + iter) % len(raws)
+				dec, err := b.Submit(context.Background(), raws[i], int64(i))
 				if err != nil {
 					if !errors.Is(err, ErrBatcherClosed) {
 						failures[g] = err.Error()
@@ -229,7 +275,7 @@ func TestBatcherCloseMidFlight(t *testing.T) {
 			t.Fatalf("submitter %d: %s", g, f)
 		}
 	}
-	if _, err := b.Submit(context.Background(), corpus[0].CFG, 0); !errors.Is(err, ErrBatcherClosed) {
+	if _, err := b.Submit(context.Background(), raws[0], 0); !errors.Is(err, ErrBatcherClosed) {
 		t.Fatalf("Submit after Close: err = %v, want ErrBatcherClosed", err)
 	}
 	b.Close() // double Close must not panic or hang

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"soteria/internal/disasm"
+	"soteria/internal/features"
 	"soteria/internal/obs"
 	"soteria/internal/store"
 )
@@ -14,13 +14,15 @@ import (
 // ErrBatcherClosed is returned by Submit once Close has begun.
 var ErrBatcherClosed = errors.New("core: batcher closed")
 
-// request is one caller's unit of work: the input, a completion signal,
-// and the slots the collector fills before signaling.
+// request is one caller's scoring work as the collector sees it: the
+// caller's extracted rows, a completion signal, and the decision the
+// collector fills in before signaling.
 type request struct {
-	cfg  *disasm.CFG
-	salt int64
+	// v is the caller's extraction, drawn from the pipeline's vecs
+	// pool. The collector owns it after the handoff and returns it to
+	// the pool once its rows are placed.
+	v    *features.Vectors
 	dec  *Decision
-	err  error
 	done chan struct{}
 	// key is the request's cache key; withKey marks it valid (set for
 	// every request when the pipeline has a cache attached), which asks
@@ -33,18 +35,22 @@ type request struct {
 }
 
 // Batcher is a micro-batching front door for concurrent analyze
-// traffic: callers Submit one CFG each, and a collector goroutine
-// serves them through the pipeline's chunked scoring stage in shared
-// batched forwards. A batch is whoever is waiting when the collector
-// frees up — the first request it receives plus every submitter
-// already blocked on the handoff, up to analyzeChunkSize — so a lone
-// request never waits for company, and requests that arrive while a
-// batch is being scored share the next one. Coalescing changes only
+// traffic: callers Submit the raw bytes of one binary each. With a
+// cache attached, a repeat costs one content hash and a lookup. A miss
+// is parsed, disassembled and extracted on the caller's own goroutine,
+// and only its feature rows go to a collector goroutine, which scores
+// them in shared batched forwards. A batch is whoever is waiting when
+// the collector frees up — the first request it receives plus every
+// submitter already blocked on the handoff, up to analyzeChunkSize — so
+// a lone request never waits for company, and requests that arrive
+// while a batch is being scored share the next one. Because the
+// collector only scores, one large CFG slows only its own submitter,
+// never the misses queued behind it. Coalescing changes only
 // throughput, never results: scoring is row-independent and each
 // sample's rows land at fixed offsets, so a decision is bit-identical
-// to a lone Analyze call with the same salt regardless of which
-// requests shared its batch. Errors propagate per request — one
-// unparseable sample fails only its submitter.
+// to a lone AnalyzeBinary call with the same salt regardless of which
+// requests shared its batch. Errors are per request — one unparseable
+// sample fails only its submitter.
 type Batcher struct {
 	p    *Pipeline
 	reqs chan *request // unbuffered: a send is a handoff, never a buffered slot
@@ -52,9 +58,11 @@ type Batcher struct {
 	done chan struct{}
 	once sync.Once
 
-	// collector-only scratch, reused across batches.
-	cfgs  []*disasm.CFG
-	salts []int64
+	// collector-only scratch, reused across batches. batch and out hold
+	// no entries between batches, so a served request's rows and
+	// decision are never pinned.
+	batch []*request
+	out   []*Decision
 	keys  []store.Key
 
 	// met holds the batcher's metrics; all fields are nil unless the
@@ -65,7 +73,7 @@ type Batcher struct {
 // batcherObs is the batcher's metric set: how long requests wait for
 // the collector, and how well they coalesce.
 type batcherObs struct {
-	waitNs    *obs.Histogram // per-request queue wait, Submit to dispatch
+	waitNs    *obs.Histogram // per-request queue wait, handoff offer to dispatch
 	batchSize *obs.Histogram // coalesced batch size distribution
 	rejected  *obs.Counter   // submissions turned away before handoff
 }
@@ -90,32 +98,38 @@ func NewBatcher(p *Pipeline) *Batcher {
 	return b
 }
 
-// Submit analyzes one CFG through the shared batch stream and blocks
-// until its decision is ready. Safe for any number of concurrent
-// callers. After Close, Submit returns ErrBatcherClosed; a Submit
-// racing Close returns either its decision or ErrBatcherClosed, never
-// hangs.
+// Submit analyzes the raw SOTB bytes of one binary through the shared
+// batch stream and blocks until its decision is ready. Safe for any
+// number of concurrent callers; raw is only read, and not after Submit
+// returns. Bytes that do not parse or disassemble fail with an error
+// wrapping ErrBadBinary. After Close, Submit returns ErrBatcherClosed;
+// a Submit racing Close returns either its decision or
+// ErrBatcherClosed, never hangs.
 //
-// A caller that gives up — typically an HTTP handler whose client
-// disconnected — cancels ctx and stops waiting at the next select
-// instead of holding its goroutine until the batch completes.
-// Cancellation before the handoff withdraws the request entirely;
-// after the handoff the work is already coalesced into a batch (batch
-// composition never affects other requests' results, so the batch runs
-// regardless), and only the wait is abandoned.
+// With a cache attached to the pipeline, the request is keyed by its
+// content hash before the bytes are parsed: a verdict hit returns at
+// once, and concurrent submissions of identical (content, salt)
+// coalesce onto one in-flight computation — only the first does the
+// work, the rest wait for its published verdict (falling back to their
+// own work if it fails). Failures are never cached. Results stay
+// bit-identical to uncached Submits.
 //
-// With a cache attached to the pipeline, a verdict hit returns without
-// ever occupying a batch slot, and concurrent submissions of identical
-// (content, salt) coalesce onto one in-flight computation: only the
-// first enters the batch stream, the rest wait for its published
-// verdict (falling back to their own submission if it fails). Results
-// stay bit-identical to uncached Submits.
-func (b *Batcher) Submit(ctx context.Context, c *disasm.CFG, salt int64) (*Decision, error) {
+// A miss parses, disassembles and extracts on the caller's goroutine,
+// then hands the rows to the collector. A caller that gives up —
+// typically an HTTP handler whose client disconnected — cancels ctx
+// and stops at the next check or select instead of holding its
+// goroutine until the batch completes. Cancellation (or Close) before
+// the handoff withdraws the request: it is checked before parsing and
+// again before extraction, so a withdrawn request does no further
+// work. After the handoff the rows are already coalesced into a batch
+// (batch composition never affects other requests' results, so the
+// batch runs regardless), and only the wait is abandoned.
+func (b *Batcher) Submit(ctx context.Context, raw []byte, salt int64) (*Decision, error) {
 	cache := b.p.cache
 	if cache == nil {
-		return b.enqueue(ctx, &request{cfg: c, salt: salt, done: make(chan struct{}), t0: b.met.waitNs.Start()})
+		return b.analyze(ctx, raw, salt, store.Key{}, false)
 	}
-	k := b.p.cfgKey(c, salt)
+	k := b.p.byteKey(raw, salt)
 	t := b.p.met.cacheHitNs.Start()
 	v, hit, fl, leader := cache.Join(k)
 	if hit {
@@ -124,7 +138,7 @@ func (b *Batcher) Submit(ctx context.Context, c *disasm.CFG, salt int64) (*Decis
 	}
 	if !leader {
 		// Another submitter is already computing this key; wait for its
-		// verdict rather than duplicating the work in the batch.
+		// verdict rather than duplicating the work.
 		select {
 		case <-fl.Done():
 			if v, ok := fl.Result(); ok {
@@ -137,12 +151,12 @@ func (b *Batcher) Submit(ctx context.Context, c *disasm.CFG, salt int64) (*Decis
 		case <-b.stop:
 			return nil, ErrBatcherClosed
 		}
-		return b.enqueue(ctx, &request{cfg: c, salt: salt, key: k, withKey: true, done: make(chan struct{}), t0: b.met.waitNs.Start()})
+		return b.analyze(ctx, raw, salt, k, true)
 	}
-	d, err := b.enqueue(ctx, &request{cfg: c, salt: salt, key: k, withKey: true, done: make(chan struct{}), t0: b.met.waitNs.Start()})
+	d, err := b.analyze(ctx, raw, salt, k, true)
 	// Publish to the followers whatever happened — on success the
 	// scoring stage already stored the verdict; on failure (including
-	// our own cancellation) ok=false sends them back to submit
+	// our own cancellation) ok=false sends them back to do the work
 	// themselves.
 	var vv store.Verdict
 	if err == nil {
@@ -152,24 +166,72 @@ func (b *Batcher) Submit(ctx context.Context, c *disasm.CFG, salt int64) (*Decis
 	return d, err
 }
 
+// analyze is Submit's miss path, run on the caller's goroutine: parse,
+// disassemble and extract, then hand the rows to the collector for
+// scoring. The admission check runs before parsing and again before
+// extraction.
+func (b *Batcher) analyze(ctx context.Context, raw []byte, salt int64, k store.Key, withKey bool) (*Decision, error) {
+	if err := b.admit(ctx); err != nil {
+		return nil, err
+	}
+	cfg, err := disassemble(raw)
+	if err != nil {
+		return nil, err
+	}
+	if err := b.admit(ctx); err != nil {
+		return nil, err
+	}
+	p := b.p
+	vb, _ := p.vecs.Get().(*features.Vectors)
+	t := p.met.extractNs.Start()
+	v, err := p.Extractor.ExtractInto(vb, cfg, salt)
+	p.met.extractNs.Stop(t)
+	if err != nil {
+		if vb != nil {
+			p.vecs.Put(vb)
+		}
+		p.met.errors.Inc()
+		return nil, err
+	}
+	return b.enqueue(ctx, &request{v: v, key: k, withKey: withKey, done: make(chan struct{}), t0: b.met.waitNs.Start()})
+}
+
+// admit turns a submission away, counted as rejected, once the batcher
+// is closed or the caller has given up.
+func (b *Batcher) admit(ctx context.Context) error {
+	select {
+	case <-b.stop:
+		b.met.rejected.Inc()
+		return ErrBatcherClosed
+	default:
+	}
+	if err := ctx.Err(); err != nil {
+		b.met.rejected.Inc()
+		return err
+	}
+	return nil
+}
+
 // enqueue hands one request to the collector and waits for completion.
 // A submission turned away before the handoff (closed batcher,
-// cancelled context) counts as rejected; a caller that abandons its
-// wait after the handoff does not, because the batch still serves its
-// slot.
+// cancelled context) counts as rejected and returns its rows to the
+// pool; a caller that abandons its wait after the handoff does not,
+// because the batch still serves its slot.
 func (b *Batcher) enqueue(ctx context.Context, r *request) (*Decision, error) {
 	select {
 	case b.reqs <- r:
 	case <-b.stop:
+		b.p.vecs.Put(r.v)
 		b.met.rejected.Inc()
 		return nil, ErrBatcherClosed
 	case <-ctx.Done():
+		b.p.vecs.Put(r.v)
 		b.met.rejected.Inc()
 		return nil, ctx.Err()
 	}
 	select {
 	case <-r.done:
-		return r.dec, r.err
+		return r.dec, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -192,14 +254,12 @@ func (b *Batcher) Close() {
 // channel instead.
 func (b *Batcher) collect() {
 	defer close(b.done)
-	var batch []*request
 	for {
 		select {
 		case r := <-b.reqs:
-			batch = b.topUp(append(batch[:0], r))
-			b.serve(batch)
+			b.serve(b.topUp(append(b.batch[:0], r)))
 		case <-b.stop:
-			b.drain(batch)
+			b.drain()
 			return
 		}
 	}
@@ -221,9 +281,9 @@ func (b *Batcher) topUp(batch []*request) []*request {
 }
 
 // drain serves every request still being offered on reqs, then returns.
-func (b *Batcher) drain(batch []*request) {
+func (b *Batcher) drain() {
 	for {
-		batch = b.topUp(batch[:0])
+		batch := b.topUp(b.batch[:0])
 		if len(batch) == 0 {
 			return
 		}
@@ -231,38 +291,45 @@ func (b *Batcher) drain(batch []*request) {
 	}
 }
 
-// serve runs one coalesced batch through the pipeline and completes
-// each request with its own decision or error.
+// serve scores one coalesced batch as one chunk — shape it, place each
+// request's rows, one scoreChunk pass — and completes each request with
+// its own decision.
 func (b *Batcher) serve(batch []*request) {
-	b.met.batchSize.Observe(float64(len(batch)))
-	b.cfgs = b.cfgs[:0]
-	b.salts = b.salts[:0]
+	p, n := b.p, len(batch)
+	b.met.batchSize.Observe(float64(n))
+	c := p.getChunk()
+	c.shape(p, 0, n)
 	b.keys = b.keys[:0]
 	withKeys := true
-	for _, r := range batch {
-		b.cfgs = append(b.cfgs, r.cfg)
-		b.salts = append(b.salts, r.salt)
-		b.keys = append(b.keys, r.key)
-		if !r.withKey {
-			withKeys = false
-		}
+	for i, r := range batch {
 		b.met.waitNs.Stop(r.t0)
+		c.place(i, r.v, nil)
+		p.vecs.Put(r.v)
+		r.v = nil
+		b.keys = append(b.keys, r.key)
+		withKeys = withKeys && r.withKey
 	}
 	var keys []store.Key
-	if withKeys && b.p.cache != nil {
+	if withKeys {
 		keys = b.keys
 	}
-	decs, errs := b.p.analyzeBatch(b.cfgs, b.salts, keys)
+	if cap(b.out) < n {
+		b.out = make([]*Decision, n)
+	}
+	out := b.out[:n]
+	t := p.met.scoreNs.Start()
+	// Every placed sample was extracted, so scoring reports no
+	// per-sample errors and needs no error slots.
+	p.scoreChunk(c, out, nil, keys)
+	p.met.scoreNs.Stop(t)
+	p.chunks.Put(c)
 	for i, r := range batch {
-		r.dec, r.err = decs[i], errs[i]
+		r.dec = out[i]
 		close(r.done)
+		// Drop the scratch's references now that the request is
+		// answered: the last batch's entries would otherwise stay live
+		// until the next serve, or forever after the final one.
+		batch[i], out[i] = nil, nil
 	}
-	// Drop the scratch's CFG references now that the batch is served:
-	// the entries would otherwise pin the last batch's graphs until the
-	// next serve (or forever, on the final batch before Close). Every
-	// earlier, longer batch cleared its own entries the same way, so the
-	// whole backing array holds no live CFGs between batches.
-	for i := range b.cfgs {
-		b.cfgs[i] = nil
-	}
+	b.batch = batch[:0]
 }

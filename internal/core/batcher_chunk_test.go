@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"maps"
 	"runtime"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"soteria/internal/disasm"
-	"soteria/internal/features"
 	"soteria/internal/obs"
 )
 
@@ -79,6 +77,7 @@ func batchSizes(h *obs.Histogram) map[float64]uint64 {
 func TestBatcherServesWaitingSubmittersTogether(t *testing.T) {
 	inst, reg := obsEnv(t)
 	_, corpus := batchEnv(t)
+	raws := corpusRaws(t)
 	sizes := reg.Histogram("batcher.batch_size", nil)
 	count0, sum0 := sizes.Count(), sizes.Sum()
 
@@ -91,7 +90,7 @@ func TestBatcherServesWaitingSubmittersTogether(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			decs[g], errs[g] = b.Submit(context.Background(), corpus[g%len(corpus)].CFG, int64(g))
+			decs[g], errs[g] = b.Submit(context.Background(), raws[g%len(raws)], int64(g))
 		}(g)
 	}
 	waitParked(t, requests)
@@ -124,22 +123,32 @@ func TestBatcherServesWaitingSubmittersTogether(t *testing.T) {
 // analyzeChunkSize of them and leaves the rest to the next batch — on
 // the collect path and on the drain path Close takes.
 func TestBatcherCapsBatchAtChunkSize(t *testing.T) {
-	_, corpus := batchEnv(t)
+	pipes, _ := batchEnv(t)
+	p := pipes[false]
+	raws := corpusRaws(t)
+	// Every submitter sends the smallest binary: the test is about
+	// batch composition, not extraction.
+	raw := raws[0]
+	for _, r := range raws {
+		if len(r) < len(raw) {
+			raw = r
+		}
+	}
 	const extra = 3
 	for _, path := range []string{"collect", "drain"} {
 		t.Run(path, func(t *testing.T) {
 			reg := obs.NewRegistry()
-			// An unfitted pipeline fails every sample at once: the test
-			// is about batch composition, not scoring.
-			unfitted := &Pipeline{Extractor: features.NewExtractor(features.Config{}), reg: reg}
-			b := stalledBatcher(unfitted)
+			// The trained components under a fresh registry, so the
+			// batch sizes read below are this subtest's alone.
+			q := &Pipeline{Extractor: p.Extractor, Detector: p.Detector, Ensemble: p.Ensemble, opts: p.opts, reg: reg}
+			b := stalledBatcher(q)
 			errs := make([]error, analyzeChunkSize+extra)
 			var wg sync.WaitGroup
 			for g := range errs {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					_, errs[g] = b.Submit(context.Background(), corpus[0].CFG, int64(g))
+					_, errs[g] = b.Submit(context.Background(), raw, int64(g))
 				}(g)
 			}
 			waitParked(t, len(errs))
@@ -148,12 +157,12 @@ func TestBatcherCapsBatchAtChunkSize(t *testing.T) {
 				wg.Wait()
 				b.Close()
 			} else {
-				b.drain(nil)
+				b.drain()
 				wg.Wait()
 			}
 			for g, err := range errs {
-				if !errors.Is(err, features.ErrNotFitted) {
-					t.Fatalf("submitter %d: err = %v, want the pipeline's ErrNotFitted", g, err)
+				if err != nil {
+					t.Fatalf("submitter %d: %v", g, err)
 				}
 			}
 			got := batchSizes(reg.Histogram("batcher.batch_size", nil))

@@ -101,20 +101,23 @@ func BenchmarkScoreChunk(b *testing.B) {
 }
 
 // BenchmarkBatcherThroughput measures the micro-batching front door
-// end to end: 8 concurrent submitters streaming single-CFG requests
-// that the collector coalesces into shared batched passes.
+// end to end: 8 concurrent submitters streaming the raw bytes of one
+// binary per request, as /analyze receives them — each parses,
+// disassembles and extracts on its own goroutine, and the collector
+// coalesces the rows into shared batched scoring passes.
 func BenchmarkBatcherThroughput(b *testing.B) {
-	p, cfgs, _ := benchEnv(b)
+	p, _, _ := benchEnv(b)
 	const submitters = 8
 	bat := NewBatcher(p)
 	defer bat.Close()
 	var next atomic.Int64
 	b.SetParallelism(submitters)
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			i := int(next.Add(1)-1) % len(cfgs)
-			if _, err := bat.Submit(context.Background(), cfgs[i], int64(i)); err != nil {
+			i := int(next.Add(1)-1) % len(benchRaws)
+			if _, err := bat.Submit(context.Background(), benchRaws[i], int64(i)); err != nil {
 				b.Error(err)
 				return
 			}
@@ -181,13 +184,15 @@ func BenchmarkAnalyzeCachedHit(b *testing.B) {
 }
 
 // benchBatcherRepeat streams 8 concurrent submitters through the
-// Batcher with the given percentage of repeat submissions (same CFG and
-// salt as an earlier request — a singleflight/cache hit once warm);
-// the rest carry never-repeating salts and always take the full scoring
-// path. At 0% the benchmark prices the cache's bookkeeping overhead on
-// a miss-only stream; at 100% it prices pure hit throughput.
+// Batcher with the given percentage of repeat submissions (same bytes
+// and salt as an earlier request — a singleflight/cache hit once warm);
+// the rest carry never-repeating salts and always take the full parse,
+// disassembly, extraction and scoring path. Requests carry raw bytes,
+// as /analyze receives them. At 0% the benchmark prices the cache's
+// bookkeeping overhead on a miss-only stream; at 100% it prices pure
+// hit throughput: one content hash and a lookup per request.
 func benchBatcherRepeat(b *testing.B, pct int) {
-	p, cfgs, _ := benchEnv(b)
+	p, _, _ := benchEnv(b)
 	detach := attachBenchCache(b, p)
 	defer detach()
 	const submitters = 8
@@ -195,17 +200,18 @@ func benchBatcherRepeat(b *testing.B, pct int) {
 	defer bat.Close()
 	var next atomic.Int64
 	b.SetParallelism(submitters)
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			n := next.Add(1) - 1
-			i := int(n) % len(cfgs)
+			i := int(n) % len(benchRaws)
 			salt := int64(i)
 			if int(n%100) >= pct {
 				// Unique key: salts from this range are never reused.
 				salt = 1_000_000 + n
 			}
-			if _, err := bat.Submit(context.Background(), cfgs[i], salt); err != nil {
+			if _, err := bat.Submit(context.Background(), benchRaws[i], salt); err != nil {
 				b.Error(err)
 				return
 			}

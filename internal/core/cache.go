@@ -2,18 +2,19 @@ package core
 
 // Cache integration: an attached store.Cache is a verdict cache that
 // memoizes final decisions keyed by (content hash, salt, model
-// fingerprint), turning a repeat submission into a hash lookup that
-// skips parsing, disassembly, extraction and scoring. Keys carry the
-// model fingerprint, so a retrained or different model can never serve
-// another model's results, and all cached decisions are bit-identical
-// to the uncached path by construction — the cache stores outputs, it
-// never changes how they are computed.
+// fingerprint). Every entry path — AnalyzeBinary, AnalyzeBinaryBatch
+// and Batcher.Submit — keys a submission by the sha256 of its raw
+// bytes (byteKey) before parsing them, so a repeat is a hash lookup
+// that skips parsing, disassembly, extraction and scoring, and all
+// three paths share one keyspace. Keys carry the model fingerprint, so
+// a retrained or different model can never serve another model's
+// results, and all cached decisions are bit-identical to the uncached
+// path by construction — the cache stores outputs, it never changes
+// how they are computed.
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 
-	"soteria/internal/disasm"
 	"soteria/internal/malgen"
 	"soteria/internal/store"
 )
@@ -40,32 +41,6 @@ func (p *Pipeline) AttachCache(c *store.Cache) error {
 // verdict-hit path allocation-free.
 func (p *Pipeline) byteKey(raw []byte, salt int64) store.Key {
 	return store.Key{Content: sha256.Sum256(raw), Salt: salt, Model: p.modelFP}
-}
-
-// cfgKey keys an already-disassembled CFG by a canonical structural
-// digest. Extraction depends only on the graph's node count, entry
-// node, edge set, salt, and the (fingerprinted) extractor config —
-// never on block contents — so two CFGs with identical structure are
-// interchangeable inputs and may share cache entries. The digest is
-// domain-separated from byteKey's raw-content hashes.
-func (p *Pipeline) cfgKey(c *disasm.CFG, salt int64) store.Key {
-	h := sha256.New()
-	var buf [16]byte
-	copy(buf[:], "soteria/cfg/v1\x00\x00")
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:8], uint64(c.G.NumNodes()))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(c.EntryNode()))
-	h.Write(buf[:])
-	for _, e := range c.G.Edges() {
-		binary.LittleEndian.PutUint64(buf[:8], uint64(e[0]))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(e[1]))
-		h.Write(buf[:])
-	}
-	var k store.Key
-	h.Sum(k.Content[:0])
-	k.Salt = salt
-	k.Model = p.modelFP
-	return k
 }
 
 func verdictOf(d *Decision) store.Verdict {

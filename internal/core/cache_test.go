@@ -314,7 +314,6 @@ func TestCacheCountsOneMissPerMiss(t *testing.T) {
 	p, _, raws := cachePipeline(t)
 	raw := raws[3]
 	const salt = 5
-	cfg := mustCFG(t, p, raw)
 	b := NewBatcher(p)
 	defer b.Close()
 	paths := []struct {
@@ -330,7 +329,7 @@ func TestCacheCountsOneMissPerMiss(t *testing.T) {
 			return err
 		}},
 		{"Batcher", func() error {
-			_, err := b.Submit(context.Background(), cfg, salt)
+			_, err := b.Submit(context.Background(), raw, salt)
 			return err
 		}},
 	}
@@ -383,41 +382,22 @@ func samplesCount(reg *obs.Registry) uint64 {
 	return v
 }
 
-// TestVerdictHitAllocationBound pins the warm verdict-hit budget: a
-// repeat AnalyzeBinary is a hash, a map lookup, and one Decision —
-// at most 5 allocations, instrumented.
-func TestVerdictHitAllocationBound(t *testing.T) {
+// CacheTestEnv exposes the shared cache-test pipeline and its encoded
+// corpus to the package's external tests.
+func CacheTestEnv(t *testing.T) (*Pipeline, [][]byte) {
+	t.Helper()
 	p, _, raws := cachePipeline(t)
-	raw := raws[2]
-	const salt = 77
-	c := memCache(t)
-	if err := p.AttachCache(c); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := p.AttachCache(nil); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	if _, err := p.AnalyzeBinary(raw, salt); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := p.AnalyzeBinary(raw, salt); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 5 {
-		t.Fatalf("verdict hit allocates %.0f/op, budget is 5", allocs)
-	}
+	return p, raws
 }
 
-// TestBatcherSingleflight submits the same (CFG, salt) from many
+// TestBatcherSingleflight submits the same (bytes, salt) from many
 // goroutines through a cold cache: exactly one submission may do the
-// scoring work; everyone must get the identical decision.
+// extraction and scoring work; everyone must get the identical
+// decision.
 func TestBatcherSingleflight(t *testing.T) {
 	p, reg, raws := cachePipeline(t)
-	cfg := mustCFG(t, p, raws[1])
+	raw := raws[1]
+	cfg := mustCFG(t, p, raw)
 	const salt = 4242
 
 	baseline, err := p.Analyze(cfg, salt)
@@ -438,6 +418,7 @@ func TestBatcherSingleflight(t *testing.T) {
 	defer b.Close()
 
 	before := samplesCount(reg)
+	extracted := reg.Histogram("pipeline.extract_ns", nil).Count()
 	const n = 16
 	var wg sync.WaitGroup
 	decs := make([]*Decision, n)
@@ -446,7 +427,7 @@ func TestBatcherSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			decs[i], errs[i] = b.Submit(context.Background(), cfg, salt)
+			decs[i], errs[i] = b.Submit(context.Background(), raw, salt)
 		}(i)
 	}
 	wg.Wait()
@@ -461,9 +442,12 @@ func TestBatcherSingleflight(t *testing.T) {
 	if scored := samplesCount(reg) - before; scored != 1 {
 		t.Fatalf("%d samples scored for %d identical submissions, want 1", scored, n)
 	}
+	if got := reg.Histogram("pipeline.extract_ns", nil).Count() - extracted; got != 1 {
+		t.Fatalf("%d extractions for %d identical submissions, want 1", got, n)
+	}
 
 	// Warm resubmission is a pure hit: still no extra scoring.
-	d, err := b.Submit(context.Background(), cfg, salt)
+	d, err := b.Submit(context.Background(), raw, salt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +459,7 @@ func TestBatcherSingleflight(t *testing.T) {
 	}
 
 	// A different salt is different work.
-	if _, err := b.Submit(context.Background(), cfg, salt+1); err != nil {
+	if _, err := b.Submit(context.Background(), raw, salt+1); err != nil {
 		t.Fatal(err)
 	}
 	if scored := samplesCount(reg) - before; scored != 2 {

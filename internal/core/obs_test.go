@@ -2,11 +2,12 @@
 // decision (bit-identical models and verdicts with obs on or off) and
 // must never add an allocation to the scoring hot path. Plus the
 // regression tests for the fillFrom defaulting bug and the batcher
-// scratch CFG pinning.
+// scratch pinning.
 package core
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -160,7 +161,7 @@ func TestObsScoringAddsNoAllocations(t *testing.T) {
 // every request's queue wait is observed.
 func TestObsBatcherMetrics(t *testing.T) {
 	inst, reg := obsEnv(t)
-	_, corpus := batchEnv(t)
+	raws := corpusRaws(t)
 	b := NewBatcher(inst)
 
 	size0s := reg.Histogram("batcher.batch_size", nil).Sum()
@@ -172,7 +173,7 @@ func TestObsBatcherMetrics(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if _, err := b.Submit(context.Background(), corpus[g%len(corpus)].CFG, int64(g)); err != nil {
+			if _, err := b.Submit(context.Background(), raws[g%len(raws)], int64(g)); err != nil {
 				t.Error(err)
 			}
 		}(g)
@@ -192,12 +193,40 @@ func TestObsBatcherMetrics(t *testing.T) {
 
 // TestObsBatcherBackpressure pins the backpressure signal admission
 // control reads: batcher.rejected counts exactly the submissions
-// turned away before the handoff, and none of the served ones.
+// turned away before the handoff, and none of the served ones. A
+// submission turned away does no work: it adds no extraction.
 func TestObsBatcherBackpressure(t *testing.T) {
 	inst, reg := obsEnv(t)
-	_, corpus := batchEnv(t)
+	raws := corpusRaws(t)
+	// With a cache attached, a cold key makes the submitter the flight's
+	// leader, which must do its own admission check before any work.
+	c := memCache(t)
+	if err := inst.AttachCache(c); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := inst.AttachCache(nil); err != nil {
+			t.Fatal(err)
+		}
+	}()
 	b := NewBatcher(inst)
 	rejected0 := reg.Counter("batcher.rejected").Value()
+	extracts := reg.Histogram("pipeline.extract_ns", nil)
+	// turnedAway requires one more rejection and no more extractions
+	// than before submit ran.
+	turnedAway := func(what string, submit func() error) {
+		t.Helper()
+		rej, ext := reg.Counter("batcher.rejected").Value(), extracts.Count()
+		if err := submit(); err == nil {
+			t.Fatalf("%s: Submit succeeded, want it turned away", what)
+		}
+		if got := reg.Counter("batcher.rejected").Value() - rej; got != 1 {
+			t.Fatalf("%s: rejected += %d, want 1", what, got)
+		}
+		if got := extracts.Count() - ext; got != 0 {
+			t.Fatalf("%s: %d extractions observed, want none", what, got)
+		}
+	}
 
 	const requests = 8
 	var wg sync.WaitGroup
@@ -205,7 +234,7 @@ func TestObsBatcherBackpressure(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if _, err := b.Submit(context.Background(), corpus[g%len(corpus)].CFG, int64(g)); err != nil {
+			if _, err := b.Submit(context.Background(), raws[g%len(raws)], int64(g)); err != nil {
 				t.Error(err)
 			}
 		}(g)
@@ -215,28 +244,38 @@ func TestObsBatcherBackpressure(t *testing.T) {
 		t.Fatalf("rejected = %d after successful submissions, want 0", got)
 	}
 
-	// Post-Close submissions are rejections.
-	b.Close()
-	if _, err := b.Submit(context.Background(), corpus[0].CFG, 99); err != ErrBatcherClosed {
-		t.Fatalf("Submit after Close = %v, want ErrBatcherClosed", err)
-	}
-	if got := reg.Counter("batcher.rejected").Value() - rejected0; got != 1 {
-		t.Fatalf("rejected after closed Submit = %d, want 1", got)
-	}
-
-	// A context cancelled before the handoff is a rejection too. Against
-	// the closed batcher both ready select branches (stop, ctx.Done) are
-	// pre-handoff rejections, so the count is deterministic regardless
-	// of which one wins the select.
+	// A context cancelled before Submit, on a key no one has computed,
+	// is turned away before parsing, and caches nothing.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	pre := reg.Counter("batcher.rejected").Value()
-	if _, err := b.Submit(ctx, corpus[0].CFG, 7); err == nil {
-		t.Fatal("cancelled Submit on a closed batcher must fail")
+	cached := c.Len()
+	turnedAway("cancelled, cold key", func() error {
+		_, err := b.Submit(ctx, raws[0], 1_000_001)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled Submit = %v, want context.Canceled", err)
+		}
+		return err
+	})
+	if c.Len() != cached {
+		t.Fatalf("a turned-away submission cached a verdict: %d entries, want %d", c.Len(), cached)
 	}
-	if got := reg.Counter("batcher.rejected").Value() - pre; got != 1 {
-		t.Fatalf("rejected after cancelled submit = %d, want 1", got)
-	}
+
+	// Post-Close submissions are rejections.
+	b.Close()
+	turnedAway("after Close", func() error {
+		_, err := b.Submit(context.Background(), raws[0], 1_000_003)
+		if err != ErrBatcherClosed {
+			t.Fatalf("Submit after Close = %v, want ErrBatcherClosed", err)
+		}
+		return err
+	})
+
+	// A cancelled context against the closed batcher is one rejection
+	// too, whichever of the two checks sees it first.
+	turnedAway("cancelled, after Close", func() error {
+		_, err := b.Submit(ctx, raws[0], 1_000_002)
+		return err
+	})
 }
 
 // TestTrainFillsDefaultsWithCustomFeatures is the regression test for
@@ -305,29 +344,39 @@ func TestFillFromIsFieldWise(t *testing.T) {
 	}
 }
 
-// TestBatcherScratchHoldsNoCFGs is the regression test for the scratch
-// pinning leak: after serving, the collector's reusable CFG slice must
-// not retain pointers to the batch's graphs — the entries of the last
+// TestBatcherScratchHoldsNoVectors is the regression test for the
+// scratch pinning leak: after serving, the collector's reusable scratch
+// must not retain the batch's requests — and through them their
+// extracted vectors — or their decisions. The entries of the last
 // batch used to stay live until the next serve, or forever after the
 // final one.
-func TestBatcherScratchHoldsNoCFGs(t *testing.T) {
-	pipes, corpus := batchEnv(t)
+func TestBatcherScratchHoldsNoVectors(t *testing.T) {
+	pipes, _ := batchEnv(t)
+	raws := corpusRaws(t)
 	b := NewBatcher(pipes[false])
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if _, err := b.Submit(context.Background(), corpus[g%len(corpus)].CFG, int64(g)); err != nil {
+			if _, err := b.Submit(context.Background(), raws[g%len(raws)], int64(g)); err != nil {
 				t.Error(err)
 			}
 		}(g)
 	}
 	wg.Wait()
 	b.Close() // happens-before edge with the collector's last writes
-	for i, c := range b.cfgs[:cap(b.cfgs)] {
-		if c != nil {
-			t.Fatalf("scratch slot %d still pins a CFG after serve", i)
+	if cap(b.batch) == 0 {
+		t.Fatal("the collector served no batch")
+	}
+	for i, r := range b.batch[:cap(b.batch)] {
+		if r != nil {
+			t.Fatalf("batch slot %d still holds a request after serve", i)
+		}
+	}
+	for i, d := range b.out[:cap(b.out)] {
+		if d != nil {
+			t.Fatalf("decision slot %d still holds a decision after serve", i)
 		}
 	}
 }

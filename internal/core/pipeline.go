@@ -113,14 +113,14 @@ type Pipeline struct {
 
 	opts Options
 
-	// chunks recycles the analyze pipeline's per-chunk row matrices, so
-	// a steady stream of AnalyzeBatch calls (e.g. from a Batcher)
+	// chunks recycles the per-chunk row matrices of the scan path and
+	// of the Batcher's collector, so a steady stream of batches
 	// allocates only decisions.
 	chunks sync.Pool
-	// vecs recycles per-sample extraction output (*features.Vectors)
-	// across chunk fills: each extraction worker borrows a set, the
+	// vecs recycles per-sample extraction output (*features.Vectors):
+	// an extraction worker or a Batcher submitter borrows a set, the
 	// extractor overwrites it in place (ExtractInto), and the rows are
-	// copied into the chunk matrices before the set returns to the pool.
+	// copied into a chunk's matrices before the set returns to the pool.
 	vecs sync.Pool
 
 	// cache, when non-nil, memoizes verdicts under modelFP (the
@@ -148,9 +148,11 @@ type Pipeline struct {
 // pipelineObs is the analyze path's metric set. Latency is observed at
 // chunk granularity — the sanctioned observation point: timing wraps
 // the par.Overlap stage closures, never the par.For worker bodies
-// inside them (the obshot analyzer enforces the latter).
+// inside them (the obshot analyzer enforces the latter). A Batcher
+// submitter extracts its one sample outside any worker loop and
+// observes that extraction itself.
 type pipelineObs struct {
-	extractNs  *obs.Histogram // extraction stage latency per chunk
+	extractNs  *obs.Histogram // extraction latency per chunk, or per Batcher submission
 	scoreNs    *obs.Histogram // scoring stage latency per chunk
 	samples    *obs.Counter   // samples scored (decisions produced)
 	errors     *obs.Counter   // per-sample extraction failures
@@ -446,10 +448,9 @@ func (p *Pipeline) AnalyzeBatch(cfgs []*disasm.CFG, salts []int64) ([]*Decision,
 
 // analyzeBatch is AnalyzeBatch with per-sample error reporting: errs[i]
 // is non-nil exactly when sample i failed, and out[i] is non-nil
-// otherwise. The Batcher serves coalesced requests through this form so
-// one bad CFG fails only its submitter. A non-nil keys slice (parallel
-// to cfgs) asks the scoring stage to fill the attached cache with each
-// successful sample's verdict; nil runs fully uncached.
+// otherwise. A non-nil keys slice (parallel to cfgs) asks the scoring
+// stage to fill the attached cache with each successful sample's
+// verdict; nil runs fully uncached.
 func (p *Pipeline) analyzeBatch(cfgs []*disasm.CFG, salts []int64, keys []store.Key) ([]*Decision, []error) {
 	n := len(cfgs)
 	out := make([]*Decision, n)
@@ -567,13 +568,9 @@ func (p *Pipeline) AnalyzeBinary(bin []byte, salt int64) (*Decision, error) {
 			return decisionOf(v), nil
 		}
 	}
-	parsed, err := parseBinary(bin)
+	cfg, err := disassemble(bin)
 	if err != nil {
 		return nil, err
-	}
-	cfg, err := disasm.Disassemble(parsed)
-	if err != nil {
-		return nil, fmt.Errorf("core: disassemble: %w", err)
 	}
 	d, err := p.Analyze(cfg, salt)
 	if err == nil && p.cache != nil {
@@ -649,13 +646,9 @@ func (p *Pipeline) disassembleAll(bins [][]byte, idx []int) ([]*disasm.CFG, erro
 		if idx != nil {
 			n = idx[i]
 		}
-		parsed, err := parseBinary(bins[i])
-		if err != nil {
+		var err error
+		if cfgs[i], err = disassemble(bins[i]); err != nil {
 			errs[i] = fmt.Errorf("core: sample %d: %w", n, err)
-			return
-		}
-		if cfgs[i], err = disasm.Disassemble(parsed); err != nil {
-			errs[i] = fmt.Errorf("core: sample %d: disassemble: %w", n, err)
 		}
 	})
 	for _, err := range errs {

@@ -14,7 +14,7 @@ import (
 // admin handler plus the two version IDs and p2's saved bytes.
 func adminFixture(t *testing.T) (h http.Handler, r *registry.Registry, id1, id2 string, saved2 []byte) {
 	t.Helper()
-	p1, p2, _ := pipelines(t)
+	p1, p2, _, _ := pipelines(t)
 	r = registry.New(registry.Config{})
 	t.Cleanup(r.Close)
 	id1, err := r.Load(p1)

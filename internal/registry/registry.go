@@ -33,6 +33,7 @@ import (
 
 	"soteria/internal/core"
 	"soteria/internal/disasm"
+	"soteria/internal/isa"
 	"soteria/internal/obs"
 	"soteria/internal/store"
 )
@@ -94,10 +95,12 @@ type shadowState struct {
 	re    *obs.EWMA     // rolling shadow reconstruction error
 }
 
-// shadowJob carries one mirrored request to the shadow scorer.
+// shadowJob carries one mirrored request to the shadow scorer: the
+// submission's raw bytes, parsed only by the scorer, off the serving
+// path.
 type shadowJob struct {
 	st     *shadowState
-	cfg    *disasm.CFG
+	raw    []byte
 	salt   int64
 	active *core.Decision
 }
@@ -312,23 +315,27 @@ func (r *Registry) Active() string {
 	return ""
 }
 
-// Submit analyzes one CFG through the active version's batcher and
-// blocks until its decision is ready or ctx is done (see
-// core.Batcher.Submit). The version is chosen exactly once, by one
-// atomic load: whichever version answers computed the cache key, ran
-// the scoring, and owns the decision — a concurrent Activate affects
-// only later submissions. Successful decisions are sampled into the
-// shadow mirror, which never blocks or fails the serving path.
-func (r *Registry) Submit(ctx context.Context, c *disasm.CFG, salt int64) (*core.Decision, error) {
+// Submit analyzes the raw SOTB bytes of one binary through the active
+// version's batcher and blocks until its decision is ready or ctx is
+// done (see core.Batcher.Submit: a cache hit costs one content hash,
+// and bytes that do not parse or disassemble fail with an error
+// wrapping core.ErrBadBinary). The version is chosen exactly once, by
+// one atomic load: whichever version answers computed the cache key,
+// ran the scoring, and owns the decision — a concurrent Activate
+// affects only later submissions. Successful decisions are sampled
+// into the shadow mirror, which never blocks or fails the serving
+// path; a mirrored raw is read by the shadow scorer after Submit
+// returns, so callers must not modify raw afterwards.
+func (r *Registry) Submit(ctx context.Context, raw []byte, salt int64) (*core.Decision, error) {
 	v := r.active.Load()
 	if v == nil {
 		return nil, ErrNoActive
 	}
-	dec, err := v.bat.Submit(ctx, c, salt)
+	dec, err := v.bat.Submit(ctx, raw, salt)
 	if err != nil {
 		return nil, err
 	}
-	r.mirror(c, salt, dec)
+	r.mirror(raw, salt, dec)
 	return dec, nil
 }
 
@@ -336,7 +343,7 @@ func (r *Registry) Submit(ctx context.Context, c *disasm.CFG, salt int64) (*core
 // deterministic modulus of the session's submission counter — no
 // clocks, no randomness — so a given traffic sequence always mirrors
 // the same requests. A full queue drops the sample and counts it.
-func (r *Registry) mirror(c *disasm.CFG, salt int64, dec *core.Decision) {
+func (r *Registry) mirror(raw []byte, salt int64, dec *core.Decision) {
 	s := r.shadow.Load()
 	if s == nil {
 		return
@@ -345,18 +352,18 @@ func (r *Registry) mirror(c *disasm.CFG, salt int64, dec *core.Decision) {
 		return
 	}
 	select {
-	case r.jobs <- shadowJob{st: s, cfg: c, salt: salt, active: dec}:
+	case r.jobs <- shadowJob{st: s, raw: raw, salt: salt, active: dec}:
 	default:
 		r.met.dropped.Inc()
 	}
 }
 
-// scoreShadows is the registry's single shadow scorer: it runs each
-// mirrored request through the candidate pipeline directly (no
-// batcher — the candidate is not serving) and folds the comparison
-// into the session statistics. One goroutine, so a slow candidate
-// backs up the bounded queue and sheds mirrors instead of growing
-// unbounded concurrent scoring.
+// scoreShadows is the registry's single shadow scorer: it parses each
+// mirrored request's bytes, runs the CFG through the candidate pipeline
+// directly (no batcher and no cache — the candidate is not serving) and
+// folds the comparison into the session statistics. One goroutine, so a
+// slow candidate backs up the bounded queue and sheds mirrors instead
+// of growing unbounded concurrent scoring.
 func (r *Registry) scoreShadows() {
 	defer close(r.done)
 	for {
@@ -381,7 +388,7 @@ func (r *Registry) compare(j shadowJob) {
 		r.met.dropped.Inc()
 		return
 	}
-	d, err := j.st.ver.pipe.Analyze(j.cfg, j.salt)
+	d, err := analyzeShadow(j.st.ver.pipe, j.raw, j.salt)
 	if err != nil {
 		r.met.errors.Inc()
 		return
@@ -396,6 +403,20 @@ func (r *Registry) compare(j shadowJob) {
 	r.met.agreement.Set(j.st.agree.Value())
 	r.met.driftSigma.Set(driftSigma(j.st))
 	r.met.compared.Inc()
+}
+
+// analyzeShadow parses and disassembles a mirrored submission and
+// analyzes its CFG on the candidate.
+func analyzeShadow(p *core.Pipeline, raw []byte, salt int64) (*core.Decision, error) {
+	bin, err := isa.DecodeBinary(raw)
+	if err != nil {
+		return nil, err
+	}
+	cfg, err := disasm.Disassemble(bin)
+	if err != nil {
+		return nil, err
+	}
+	return p.Analyze(cfg, salt)
 }
 
 // driftSigma expresses the shadow RE rolling mean in units of the

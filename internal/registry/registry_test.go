@@ -3,6 +3,7 @@ package registry_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -23,11 +24,14 @@ var (
 	fix     struct {
 		p1, p2  *core.Pipeline
 		samples []*malgen.Sample
+		raws    [][]byte
 		err     error
 	}
 )
 
-func pipelines(t *testing.T) (*core.Pipeline, *core.Pipeline, []*malgen.Sample) {
+// pipelines returns the two fixture pipelines, their training samples,
+// and each sample's SOTB encoding: the bytes a submitter sends.
+func pipelines(t *testing.T) (*core.Pipeline, *core.Pipeline, []*malgen.Sample, [][]byte) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("trains pipelines")
@@ -42,6 +46,12 @@ func pipelines(t *testing.T) (*core.Pipeline, *core.Pipeline, []*malgen.Sample) 
 					return
 				}
 				fix.samples = append(fix.samples, s)
+				raw, err := s.Binary.Encode()
+				if err != nil {
+					fix.err = err
+					return
+				}
+				fix.raws = append(fix.raws, raw)
 			}
 		}
 		opts := core.DefaultOptions()
@@ -62,15 +72,15 @@ func pipelines(t *testing.T) (*core.Pipeline, *core.Pipeline, []*malgen.Sample) 
 	if fix.err != nil {
 		t.Fatal(fix.err)
 	}
-	return fix.p1, fix.p2, fix.samples
+	return fix.p1, fix.p2, fix.samples, fix.raws
 }
 
 func TestLoadActivateSubmit(t *testing.T) {
-	p1, p2, samples := pipelines(t)
+	p1, p2, samples, raws := pipelines(t)
 	r := registry.New(registry.Config{})
 	defer r.Close()
 
-	if _, err := r.Submit(context.Background(), samples[0].CFG, 0); err != registry.ErrNoActive {
+	if _, err := r.Submit(context.Background(), raws[0], 0); err != registry.ErrNoActive {
 		t.Fatalf("Submit before activation: %v, want ErrNoActive", err)
 	}
 
@@ -105,13 +115,16 @@ func TestLoadActivateSubmit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.Submit(context.Background(), s.CFG, int64(i))
+		got, err := r.Submit(context.Background(), raws[i], int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if *got != *want {
 			t.Fatalf("sample %d: registry %+v != direct %+v", i, got, want)
 		}
+	}
+	if _, err := r.Submit(context.Background(), []byte("junk"), 0); !errors.Is(err, core.ErrBadBinary) {
+		t.Fatalf("junk Submit: %v, want core.ErrBadBinary", err)
 	}
 
 	list := r.List()
@@ -138,7 +151,7 @@ func TestLoadActivateSubmit(t *testing.T) {
 // decision neither model makes — and no request may error during any
 // swap.
 func TestSwapUnderLoad(t *testing.T) {
-	p1, p2, samples := pipelines(t)
+	p1, p2, samples, raws := pipelines(t)
 	r := registry.New(registry.Config{})
 	defer r.Close()
 	id1, err := r.Load(p1)
@@ -178,7 +191,7 @@ func TestSwapUnderLoad(t *testing.T) {
 			ctx := context.Background()
 			for i := 0; i < perWorker; i++ {
 				n := (w + i) % len(samples)
-				dec, err := r.Submit(ctx, samples[n].CFG, int64(n))
+				dec, err := r.Submit(ctx, raws[n], int64(n))
 				if err != nil {
 					errc <- err
 					return
@@ -215,7 +228,7 @@ func TestSwapUnderLoad(t *testing.T) {
 }
 
 func TestShadowScoringAndCutover(t *testing.T) {
-	p1, p2, samples := pipelines(t)
+	p1, p2, _, raws := pipelines(t)
 	o := obs.NewRegistry()
 	r := registry.New(registry.Config{Obs: o})
 	defer r.Close()
@@ -239,8 +252,8 @@ func TestShadowScoringAndCutover(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	var stats registry.ShadowStats
 	for {
-		for i, s := range samples {
-			if _, err := r.Submit(context.Background(), s.CFG, int64(i)); err != nil {
+		for i, raw := range raws {
+			if _, err := r.Submit(context.Background(), raw, int64(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -249,7 +262,7 @@ func TestShadowScoringAndCutover(t *testing.T) {
 		if !ok {
 			t.Fatal("shadow session vanished")
 		}
-		if stats.Compared >= uint64(len(samples)) {
+		if stats.Compared >= uint64(len(raws)) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -313,7 +326,7 @@ func TestShadowScoringAndCutover(t *testing.T) {
 // interplay: two versions sharing one cache never serve each other's
 // entries, because keys embed each version's fingerprint.
 func TestSharedCacheDisjointKeyspaces(t *testing.T) {
-	p1, p2, samples := pipelines(t)
+	p1, p2, samples, raws := pipelines(t)
 	cache, err := store.Open(store.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -332,14 +345,14 @@ func TestSharedCacheDisjointKeyspaces(t *testing.T) {
 	if err := r.Activate(id1); err != nil {
 		t.Fatal(err)
 	}
-	d1, err := r.Submit(context.Background(), samples[0].CFG, 0)
+	d1, err := r.Submit(context.Background(), raws[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Activate(id2); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := r.Submit(context.Background(), samples[0].CFG, 0)
+	d2, err := r.Submit(context.Background(), raws[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +367,7 @@ func TestSharedCacheDisjointKeyspaces(t *testing.T) {
 }
 
 func TestLoadSavedRoundTrip(t *testing.T) {
-	p1, _, samples := pipelines(t)
+	p1, _, samples, raws := pipelines(t)
 	var buf bytes.Buffer
 	if err := p1.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -376,7 +389,7 @@ func TestLoadSavedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := p1.Analyze(samples[1].CFG, 1)
-	got, err := r.Submit(context.Background(), samples[1].CFG, 1)
+	got, err := r.Submit(context.Background(), raws[1], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +399,7 @@ func TestLoadSavedRoundTrip(t *testing.T) {
 }
 
 func TestCloseRejectsFurtherWork(t *testing.T) {
-	p1, _, samples := pipelines(t)
+	p1, _, _, raws := pipelines(t)
 	r := registry.New(registry.Config{})
 	id, _ := r.Load(p1)
 	if err := r.Activate(id); err != nil {
@@ -394,7 +407,7 @@ func TestCloseRejectsFurtherWork(t *testing.T) {
 	}
 	r.Close()
 	r.Close() // idempotent
-	if _, err := r.Submit(context.Background(), samples[0].CFG, 0); err == nil {
+	if _, err := r.Submit(context.Background(), raws[0], 0); err == nil {
 		t.Fatal("Submit after Close should error")
 	}
 	if _, err := r.Load(p1); err != registry.ErrClosed {

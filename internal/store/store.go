@@ -37,11 +37,11 @@ import (
 )
 
 // Key addresses one memoized result. Content is a collision-resistant
-// hash of the submitted input (raw binary bytes, or a canonical CFG
-// digest — the two producers domain-separate their hashes), Salt is
-// the walk-randomness salt the result was computed under, and Model
-// fingerprints the full serialized model state, so a retrained model
-// can never serve another model's entries.
+// hash of the submitted input (the sha256 of a binary's raw bytes, on
+// every entry path), Salt is the walk-randomness salt the result was
+// computed under, and Model fingerprints the full serialized model
+// state, so a retrained model can never serve another model's
+// entries.
 type Key struct {
 	Content [32]byte
 	Salt    int64

@@ -135,18 +135,29 @@ func (s *System) AnalyzeBinaryBatch(bins [][]byte, salts []int64) ([]*Decision, 
 	return s.pipeline.AnalyzeBinaryBatch(bins, salts)
 }
 
-// Batcher coalesces concurrent Analyze requests into shared batched
+// Batcher is the serving front door: concurrent callers Submit raw
+// SOTB bytes, and the batcher scores their misses in shared batched
 // forwards; see NewBatcher.
 type Batcher = core.Batcher
 
 // ErrBatcherClosed is returned by Batcher.Submit after Close.
 var ErrBatcherClosed = core.ErrBatcherClosed
 
+// ErrBadBinary is wrapped by the error of a Batcher or ModelRegistry
+// submission whose bytes do not parse as SOTB or whose entry point does
+// not disassemble — the client's fault, where any other failure is the
+// server's.
+var ErrBadBinary = core.ErrBadBinary
+
 // NewBatcher starts a micro-batching front door over the trained
-// system: concurrent callers Submit one CFG each and receive decisions
-// bit-identical to lone Analyze calls with the same salt, while the
-// batcher serves whoever is waiting when it frees up in one shared
-// batched forward. Close it to release the collector goroutine.
+// system. Concurrent callers Submit the raw bytes of one binary each
+// and receive decisions bit-identical to lone AnalyzeBinary calls with
+// the same salt. With a cache attached, a repeat is answered from its
+// content hash before the bytes are parsed. A miss is parsed,
+// disassembled and extracted on its caller's goroutine, and the
+// batcher scores whoever is waiting when it frees up in one shared
+// batched forward, so one large binary never holds up the others'
+// extraction. Close it to release the collector goroutine.
 func (s *System) NewBatcher() *Batcher {
 	return core.NewBatcher(s.pipeline)
 }
@@ -157,9 +168,11 @@ func (s *System) NewBatcher() *Batcher {
 func (s *System) Pipeline() *core.Pipeline { return s.pipeline }
 
 // Cache is a crash-safe, content-addressed verdict cache: it memoizes
-// verdicts keyed by (content hash, salt, model fingerprint), turning
-// repeat submissions of identical input into hash lookups. See
-// OpenCache and System.AttachCache.
+// verdicts keyed by (sha256 of the raw binary, salt, model
+// fingerprint), turning a repeat submission of identical bytes into a
+// hash lookup that skips parsing, disassembly, extraction and scoring
+// on every entry path (AnalyzeBinary, AnalyzeBinaryBatch, Batcher and
+// ModelRegistry submissions). See OpenCache and System.AttachCache.
 type Cache = store.Cache
 
 // CacheConfig configures OpenCache: an on-disk directory (empty for
