@@ -135,7 +135,7 @@ type Detector struct {
 }
 
 // detObs tracks the deployed RE distribution against the trained
-// calibration: a histogram of sample-level detection statistics, their
+// calibration: a histogram of per-sample reconstruction errors, their
 // exponentially weighted rolling mean, and that mean's distance from
 // the trained mu in units of sigma — the drift signal an operator
 // watches to notice the clean-traffic distribution sliding toward (or
@@ -153,8 +153,8 @@ const reDecay = 0.01
 
 // Instrument registers the detector's drift metrics ("detector.re",
 // "detector.re_mean", "detector.re_drift_sigma") in r and starts
-// observing every sample-level detection statistic. A nil registry is
-// a no-op. Call before serving; observations are write-only and never
+// observing every scored sample's reconstruction error. A nil registry
+// is a no-op. Call before serving; observations are write-only and never
 // affect scores or the threshold.
 func (d *Detector) Instrument(r *obs.Registry) {
 	if r == nil {
@@ -175,7 +175,7 @@ func (d *Detector) Instrument(r *obs.Registry) {
 	}
 }
 
-// observeRE folds one sample-level detection statistic into the drift
+// observeRE folds one sample's reconstruction error into the drift
 // metrics. One pointer check when uninstrumented; allocation-free and
 // race-safe when instrumented.
 func (d *Detector) observeRE(re float64) {
@@ -191,7 +191,7 @@ func (d *Detector) observeRE(re float64) {
 	}
 }
 
-// observeREs is observeRE over a batch of statistics.
+// observeREs is observeRE over a batch of errors.
 func (d *Detector) observeREs(res []float64) {
 	if d.met.re == nil {
 		return
@@ -201,14 +201,12 @@ func (d *Detector) observeREs(res []float64) {
 	}
 }
 
-// scoreScratch is one scorer's working set: the standardized input,
-// the per-row error vector, and the per-group row counts of the
-// batched sample statistic. (The reconstruction itself needs no
-// buffer — it is read straight from the network's inference arena.)
+// scoreScratch is one scorer's working set: the standardized input and
+// the per-row error vector. (The reconstruction itself needs no buffer
+// — it is read straight from the network's inference arena.)
 type scoreScratch struct {
-	z      *nn.Matrix
-	res    []float64
-	counts []int
+	z   *nn.Matrix
+	res []float64
 }
 
 func (d *Detector) getScratch() *scoreScratch {
@@ -223,16 +221,6 @@ func (d *Detector) getScratch() *scoreScratch {
 func ensureF64(s *[]float64, n int) []float64 {
 	if cap(*s) < n {
 		*s = make([]float64, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-// ensureInts resizes an int slice, reusing capacity. Contents are
-// unspecified.
-func ensureInts(s *[]int, n int) []int {
-	if cap(*s) < n {
-		*s = make([]int, n)
 	}
 	*s = (*s)[:n]
 	return *s
@@ -265,22 +253,6 @@ func (d *Detector) standardizeInPlace(x *nn.Matrix) {
 	}
 }
 
-// standardizeRowsInto writes the z-scored rows into the scratch matrix
-// s.z and returns it.
-func (d *Detector) standardizeRowsInto(s *scoreScratch, rows [][]float64) *nn.Matrix {
-	z := ensureMat(&s.z, len(rows), d.cfg.InputDim)
-	for i, r := range rows {
-		if len(r) != z.Cols {
-			panic(fmt.Sprintf("autoenc: feature vector %d has %d entries, want %d", i, len(r), z.Cols))
-		}
-		dst := z.Row(i)
-		for j, v := range r {
-			dst[j] = (v - d.featMean[j]) / d.featStd[j]
-		}
-	}
-	return z
-}
-
 // scoreInto reconstructs the already-standardized rows of z and writes
 // each row's RMSE into dst (length z.Rows). The reconstruction is read
 // straight from the network's inference arena, so the pass makes no
@@ -307,33 +279,16 @@ func (d *Detector) standardizeCopy(s *scoreScratch, x *nn.Matrix) *nn.Matrix {
 var ErrNoTrainingData = errors.New("autoenc: no training data")
 
 // Train fits the autoencoder on clean feature vectors (rows of x) and
-// calibrates the detection threshold from the training reconstruction
-// errors. The detector never sees adversarial data, per the paper's
-// operation mode.
+// calibrates the detection threshold from the reconstruction errors of
+// a held-out validation unit: a shuffled ValFraction of the rows that
+// the network never trains on. The detector never sees adversarial
+// data, per the paper's operation mode.
 func Train(x *nn.Matrix, cfg Config) (*Detector, error) {
-	groups := make([]int, x.Rows)
-	for i := range groups {
-		groups[i] = i
-	}
-	return TrainGrouped(x, groups, cfg)
-}
-
-// TrainGrouped fits the autoencoder on per-walk feature rows, where
-// groups[i] identifies the sample row i belongs to. The validation
-// split and the mu/sigma calibration operate on *sample-level* mean
-// reconstruction errors, matching deployment: a sample's detection
-// statistic is the mean RE over its walk vectors (see SampleError),
-// which averages walk randomness away and tightens the clean RE
-// distribution.
-func TrainGrouped(x *nn.Matrix, groups []int, cfg Config) (*Detector, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
 	if x.Rows == 0 {
 		return nil, ErrNoTrainingData
-	}
-	if x.Rows != len(groups) {
-		return nil, fmt.Errorf("autoenc: %d rows but %d group labels", x.Rows, len(groups))
 	}
 	if x.Cols != cfg.InputDim {
 		return nil, fmt.Errorf("autoenc: data has %d features, config says %d", x.Cols, cfg.InputDim)
@@ -353,31 +308,27 @@ func TrainGrouped(x *nn.Matrix, groups []int, cfg Config) (*Detector, error) {
 	}
 	z := d.standardize(x)
 
-	// Split off the validation unit's calibration samples — whole
-	// groups, so calibration statistics match deployment.
-	groupIDs := make([]int, 0, len(groups))
-	seen := make(map[int]bool, len(groups))
-	for _, g := range groups {
-		if !seen[g] {
-			seen[g] = true
-			groupIDs = append(groupIDs, g)
-		}
+	// Split off the validation unit's calibration rows. Both splits
+	// keep ascending row order; only membership is shuffled.
+	perm := make([]int, x.Rows)
+	for i := range perm {
+		perm[i] = i
 	}
-	rng.Shuffle(len(groupIDs), func(i, j int) { groupIDs[i], groupIDs[j] = groupIDs[j], groupIDs[i] })
-	nValGroups := int(float64(len(groupIDs)) * cfg.ValFraction)
-	if nValGroups < 1 && len(groupIDs) > 1 {
-		nValGroups = 1
+	rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	nVal := int(float64(x.Rows) * cfg.ValFraction)
+	if nVal < 1 && x.Rows > 1 {
+		nVal = 1
 	}
-	valSet := make(map[int]bool, nValGroups)
-	for _, g := range groupIDs[:nValGroups] {
-		valSet[g] = true
+	isVal := make([]bool, x.Rows)
+	for _, r := range perm[:nVal] {
+		isVal[r] = true
 	}
 	var trainRows, valRows []int
-	for i, g := range groups {
-		if valSet[g] {
-			valRows = append(valRows, i)
+	for r, v := range isVal {
+		if v {
+			valRows = append(valRows, r)
 		} else {
-			trainRows = append(trainRows, i)
+			trainRows = append(trainRows, r)
 		}
 	}
 	if len(trainRows) == 0 {
@@ -424,8 +375,7 @@ func TrainGrouped(x *nn.Matrix, groups []int, cfg Config) (*Detector, error) {
 		return nil, fmt.Errorf("autoenc: train: %w", err)
 	}
 
-	// Calibrate on sample-level (group-mean) reconstruction errors of
-	// the validation unit.
+	// Calibrate on the validation unit's reconstruction errors.
 	calibRows := valRows
 	if len(calibRows) == 0 {
 		calibRows = trainRows
@@ -434,23 +384,7 @@ func TrainGrouped(x *nn.Matrix, groups []int, cfg Config) (*Detector, error) {
 	for i, r := range calibRows {
 		copy(calibX.Row(i), z.Row(r))
 	}
-	rowRE := nn.RMSE(net.PredictInto(nil, calibX), calibX)
-	sums := make(map[int]float64)
-	counts := make(map[int]int)
-	var order []int
-	for i, r := range calibRows {
-		g := groups[r]
-		if counts[g] == 0 {
-			order = append(order, g)
-		}
-		sums[g] += rowRE[i]
-		counts[g]++
-	}
-	sampleRE := make([]float64, 0, len(order))
-	for _, g := range order {
-		sampleRE = append(sampleRE, sums[g]/float64(counts[g]))
-	}
-	d.mu, d.sigma = meanStd(sampleRE)
+	d.mu, d.sigma = meanStd(nn.RMSE(net.PredictInto(nil, calibX), calibX))
 	return d, nil
 }
 
@@ -539,93 +473,6 @@ func (d *Detector) SetAlpha(alpha float64) { d.cfg.Alpha = alpha }
 // detection threshold.
 func (d *Detector) IsAdversarial(vec []float64) bool {
 	return d.ReconstructionError(vec) > d.Threshold()
-}
-
-// SampleError returns the sample-level detection statistic: the mean
-// reconstruction error over the sample's per-walk feature vectors. The
-// call is allocation-free at steady state and safe for concurrent use.
-func (d *Detector) SampleError(walks [][]float64) float64 {
-	if len(walks) == 0 {
-		return 0
-	}
-	s := d.getScratch()
-	z := d.standardizeRowsInto(s, walks)
-	res := ensureF64(&s.res, z.Rows)
-	d.scoreInto(res, z)
-	var sum float64
-	for _, r := range res {
-		sum += r
-	}
-	d.scratch.Put(s)
-	mean := sum / float64(len(res))
-	d.observeRE(mean)
-	return mean
-}
-
-// SampleErrors computes the sample-level detection statistic for a
-// whole batch of per-walk feature rows in a single
-// standardize+forward+RMSE pass: groups[i] assigns row i of x to a
-// sample, and entry g of the result (length max(groups)+1) holds that
-// sample's mean reconstruction error. Equivalent to one SampleError
-// call per sample over that sample's rows — each group's mean
-// accumulates its rows in ascending row order, so results are
-// bit-identical.
-func (d *Detector) SampleErrors(x *nn.Matrix, groups []int) []float64 {
-	n := 0
-	for _, g := range groups {
-		if g >= n {
-			n = g + 1
-		}
-	}
-	return d.SampleErrorsInto(make([]float64, n), x, groups)
-}
-
-// SampleErrorsInto is SampleErrors with caller-provided storage:
-// dst[g] receives group g's mean reconstruction error (0 for groups
-// with no rows). Allocation-free at steady state and safe for
-// concurrent use.
-func (d *Detector) SampleErrorsInto(dst []float64, x *nn.Matrix, groups []int) []float64 {
-	if x.Rows != len(groups) {
-		panic(fmt.Sprintf("autoenc: %d rows but %d group labels", x.Rows, len(groups)))
-	}
-	for g := range dst {
-		dst[g] = 0
-	}
-	if x.Rows == 0 {
-		return dst
-	}
-	s := d.getScratch()
-	z := d.standardizeCopy(s, x)
-	res := ensureF64(&s.res, x.Rows)
-	d.scoreInto(res, z)
-	counts := ensureInts(&s.counts, len(dst))
-	for g := range counts {
-		counts[g] = 0
-	}
-	for i, g := range groups {
-		dst[g] += res[i]
-		counts[g]++
-	}
-	for g, c := range counts {
-		if c > 0 {
-			dst[g] /= float64(c)
-		}
-	}
-	if d.met.re != nil {
-		for g, c := range counts {
-			if c > 0 {
-				d.observeRE(dst[g])
-			}
-		}
-	}
-	d.scratch.Put(s)
-	return dst
-}
-
-// IsAdversarialSample applies the threshold to the sample-level
-// statistic over per-walk vectors.
-func (d *Detector) IsAdversarialSample(walks [][]float64) bool {
-	return d.SampleError(walks) > d.Threshold()
 }
 
 // DetectBatch flags every row of x whose RE exceeds the threshold. The

@@ -6,82 +6,29 @@ import (
 	"soteria/internal/nn"
 )
 
-// TestBatchedScoringMatchesPerSample pins the cross-sample batched
-// entry points bit-identical to their per-sample counterparts: one
-// standardize+forward+RMSE pass over all rows must reproduce every
-// per-row ReconstructionError and every per-group SampleError exactly,
-// across walk counts and batch sizes.
+// TestBatchedScoringMatchesPerSample pins the batched entry points
+// bit-identical to the per-row one: one standardize+forward+RMSE pass
+// over all rows must reproduce every per-row ReconstructionError
+// exactly, across batch sizes.
 func TestBatchedScoringMatchesPerSample(t *testing.T) {
 	d, x := smallDetector(t)
 	dim := x.Cols
-	for _, walks := range []int{1, 3, 5} {
-		for _, samples := range []int{1, 2, 7} {
-			rows := samples * walks
-			if rows > x.Rows {
-				continue
+	for _, rows := range []int{1, 2, 3, 5, 7, 14, 35} {
+		sub := &nn.Matrix{Rows: rows, Cols: dim, Data: x.Data[:rows*dim]}
+		res := d.ReconstructionErrors(sub)
+		for r := 0; r < rows; r++ {
+			if got := d.ReconstructionError(sub.Row(r)); got != res[r] {
+				t.Fatalf("rows=%d row %d: batched RE %v != per-row %v", rows, r, res[r], got)
 			}
-			sub := &nn.Matrix{Rows: rows, Cols: dim, Data: x.Data[:rows*dim]}
-			groups := make([]int, rows)
-			for r := range groups {
-				groups[r] = r / walks
-			}
-
-			res := d.ReconstructionErrors(sub)
-			for r := 0; r < rows; r++ {
-				if got := d.ReconstructionError(sub.Row(r)); got != res[r] {
-					t.Fatalf("walks=%d samples=%d row %d: batched RE %v != per-row %v",
-						walks, samples, r, res[r], got)
-				}
-			}
-			into := make([]float64, rows)
-			d.ReconstructionErrorsInto(into, sub)
-			for r := range into {
-				if into[r] != res[r] {
-					t.Fatalf("ReconstructionErrorsInto[%d] = %v, want %v", r, into[r], res[r])
-				}
-			}
-
-			se := d.SampleErrors(sub, groups)
-			if len(se) != samples {
-				t.Fatalf("SampleErrors returned %d groups, want %d", len(se), samples)
-			}
-			for s := 0; s < samples; s++ {
-				walkRows := make([][]float64, walks)
-				for w := range walkRows {
-					walkRows[w] = sub.Row(s*walks + w)
-				}
-				if got := d.SampleError(walkRows); got != se[s] {
-					t.Fatalf("walks=%d samples=%d group %d: batched sample error %v != per-sample %v",
-						walks, samples, s, se[s], got)
-				}
+		}
+		into := make([]float64, rows)
+		d.ReconstructionErrorsInto(into, sub)
+		for r := range into {
+			if into[r] != res[r] {
+				t.Fatalf("ReconstructionErrorsInto[%d] = %v, want %v", r, into[r], res[r])
 			}
 		}
 	}
-}
-
-// TestSampleErrorsIntoShapes pins the Into variant's contract: dst is
-// fully zeroed, ragged group ids accumulate into their own slots, and
-// shape mismatches panic.
-func TestSampleErrorsIntoShapes(t *testing.T) {
-	d, x := smallDetector(t)
-	rows := 6
-	sub := &nn.Matrix{Rows: rows, Cols: x.Cols, Data: x.Data[:rows*x.Cols]}
-	groups := []int{0, 0, 1, 1, 1, 3} // group 2 empty, group 3 singleton
-	dst := []float64{99, 99, 99, 99}
-	d.SampleErrorsInto(dst, sub, groups)
-	if dst[2] != 0 {
-		t.Fatalf("empty group slot = %v, want 0", dst[2])
-	}
-	if got := d.ReconstructionError(sub.Row(5)); dst[3] != got {
-		t.Fatalf("singleton group error %v != per-row %v", dst[3], got)
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rows/groups mismatch did not panic")
-		}
-	}()
-	d.SampleErrorsInto(dst, sub, groups[:rows-1])
 }
 
 // TestBatchedScoringZeroAllocSteadyState guards the batched entry
@@ -94,21 +41,12 @@ func TestBatchedScoringZeroAllocSteadyState(t *testing.T) {
 	d, x := smallDetector(t)
 	rows := 12
 	sub := &nn.Matrix{Rows: rows, Cols: x.Cols, Data: x.Data[:rows*x.Cols]}
-	groups := make([]int, rows)
-	for r := range groups {
-		groups[r] = r / 3
-	}
 	res := make([]float64, rows)
-	se := make([]float64, rows/3)
 	for i := 0; i < 3; i++ { // warm scratch pools
 		d.ReconstructionErrorsInto(res, sub)
-		d.SampleErrorsInto(se, sub, groups)
 	}
 	if avg := testing.AllocsPerRun(100, func() { d.ReconstructionErrorsInto(res, sub) }); avg != 0 {
 		t.Errorf("ReconstructionErrorsInto allocates %v objects per call, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(100, func() { d.SampleErrorsInto(se, sub, groups) }); avg != 0 {
-		t.Errorf("SampleErrorsInto allocates %v objects per call, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() { d.DetectBatch(sub) }); avg > 1 {
 		t.Errorf("DetectBatch allocates %v objects per call, want <= 1 (the verdict slice)", avg)

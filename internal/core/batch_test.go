@@ -16,13 +16,13 @@ import (
 var (
 	batchOnce     sync.Once
 	batchTrainErr error
-	batchPipes    map[bool]*Pipeline // keyed by PerWalkDetector
+	batchPipe     *Pipeline
 	batchCorpus   []*malgen.Sample
 )
 
-// batchEnv trains two tiny pipelines (per-walk detector off and on)
-// once for every batched-equivalence test in the package.
-func batchEnv(t *testing.T) (map[bool]*Pipeline, []*malgen.Sample) {
+// batchEnv trains one tiny pipeline once for every
+// batched-equivalence test in the package.
+func batchEnv(t *testing.T) (*Pipeline, []*malgen.Sample) {
 	t.Helper()
 	batchOnce.Do(func() {
 		g := malgen.NewGenerator(malgen.Config{Seed: 13})
@@ -36,27 +36,18 @@ func batchEnv(t *testing.T) (map[bool]*Pipeline, []*malgen.Sample) {
 				batchCorpus = append(batchCorpus, s)
 			}
 		}
-		batchPipes = make(map[bool]*Pipeline)
-		for _, perWalk := range []bool{false, true} {
-			opts := testOptions()
-			opts.Features.WalkCount = 3
-			opts.DetectorEpochs = 8
-			opts.ClassifierEpochs = 8
-			opts.Filters = 4
-			opts.DenseUnits = 16
-			opts.PerWalkDetector = perWalk
-			p, err := Train(batchCorpus, opts)
-			if err != nil {
-				batchTrainErr = err
-				return
-			}
-			batchPipes[perWalk] = p
-		}
+		opts := testOptions()
+		opts.Features.WalkCount = 3
+		opts.DetectorEpochs = 8
+		opts.ClassifierEpochs = 8
+		opts.Filters = 4
+		opts.DenseUnits = 16
+		batchPipe, batchTrainErr = Train(batchCorpus, opts)
 	})
 	if batchTrainErr != nil {
 		t.Fatal(batchTrainErr)
 	}
-	return batchPipes, batchCorpus
+	return batchPipe, batchCorpus
 }
 
 // corpusRaws returns the SOTB encoding of every batchEnv sample: the
@@ -90,34 +81,30 @@ func undecodableEntry(t *testing.T, s *malgen.Sample) []byte {
 
 // TestAnalyzeBatchMatchesAnalyze pins the tentpole equivalence: the
 // chunked two-stage batch path must reproduce every per-sample Analyze
-// decision bit for bit — RE included — with the per-walk detector both
-// off and on, across batch sizes.
+// decision bit for bit — RE included — across batch sizes.
 func TestAnalyzeBatchMatchesAnalyze(t *testing.T) {
-	pipes, corpus := batchEnv(t)
-	for _, perWalk := range []bool{false, true} {
-		p := pipes[perWalk]
-		for _, n := range []int{1, 5, len(corpus)} {
-			cfgs := make([]*disasm.CFG, n)
-			salts := make([]int64, n)
-			for i := 0; i < n; i++ {
-				cfgs[i] = corpus[i].CFG
-				salts[i] = int64(3000 + i)
-			}
-			decs, err := p.AnalyzeBatch(cfgs, salts)
+	p, corpus := batchEnv(t)
+	for _, n := range []int{1, 5, len(corpus)} {
+		cfgs := make([]*disasm.CFG, n)
+		salts := make([]int64, n)
+		for i := 0; i < n; i++ {
+			cfgs[i] = corpus[i].CFG
+			salts[i] = int64(3000 + i)
+		}
+		decs, err := p.AnalyzeBatch(cfgs, salts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			want, err := p.Analyze(cfgs[i], salts[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < n; i++ {
-				want, err := p.Analyze(cfgs[i], salts[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := decs[i]
-				if got.RE != want.RE || got.Adversarial != want.Adversarial || got.Class != want.Class {
-					t.Fatalf("perWalk=%v n=%d sample %d: batch {%v %v %v} != analyze {%v %v %v}",
-						perWalk, n, i, got.Adversarial, got.RE, got.Class,
-						want.Adversarial, want.RE, want.Class)
-				}
+			got := decs[i]
+			if got.RE != want.RE || got.Adversarial != want.Adversarial || got.Class != want.Class {
+				t.Fatalf("n=%d sample %d: batch {%v %v %v} != analyze {%v %v %v}",
+					n, i, got.Adversarial, got.RE, got.Class,
+					want.Adversarial, want.RE, want.Class)
 			}
 		}
 	}
@@ -128,8 +115,7 @@ func TestAnalyzeBatchMatchesAnalyze(t *testing.T) {
 // failure names the offending sample. An unfitted pipeline with a nil
 // detector must fail cleanly rather than dereference it.
 func TestAnalyzeBatchErrors(t *testing.T) {
-	pipes, corpus := batchEnv(t)
-	p := pipes[false]
+	p, corpus := batchEnv(t)
 	if _, err := p.AnalyzeBatch(make([]*disasm.CFG, 2), make([]int64, 3)); err == nil ||
 		!strings.Contains(err.Error(), "2 cfgs but 3 salts") {
 		t.Fatalf("length mismatch error = %v", err)
@@ -150,14 +136,14 @@ func TestAnalyzeBatchErrors(t *testing.T) {
 // disassembly's error: whichever worker fails first, the batch reports
 // the lowest failing index with the serial loop's message.
 func TestAnalyzeBinaryBatchReportsLowestBadSample(t *testing.T) {
-	pipes, corpus := batchEnv(t)
+	p, corpus := batchEnv(t)
 	good, err := corpus[0].Binary.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	bins := [][]byte{good, []byte("junk"), good, []byte("more junk"), good}
 	for i := 0; i < 10; i++ {
-		_, err := pipes[false].AnalyzeBinaryBatch(bins, make([]int64, len(bins)))
+		_, err := p.AnalyzeBinaryBatch(bins, make([]int64, len(bins)))
 		if err == nil || !strings.HasPrefix(err.Error(), "core: sample 1: core: parse binary: ") {
 			t.Fatalf("error = %v, want sample 1's parse failure", err)
 		}
@@ -169,9 +155,8 @@ func TestAnalyzeBinaryBatchReportsLowestBadSample(t *testing.T) {
 // coalesced decision to be bit-identical to a lone Analyze call with
 // the same salt.
 func TestBatcherMatchesAnalyze(t *testing.T) {
-	pipes, corpus := batchEnv(t)
+	p, corpus := batchEnv(t)
 	raws := corpusRaws(t)
-	p := pipes[false]
 	b := NewBatcher(p)
 	defer b.Close()
 
@@ -211,9 +196,9 @@ func TestBatcherMatchesAnalyze(t *testing.T) {
 // that do not parse, or whose entry does not disassemble, fail with
 // ErrBadBinary, and an extraction failure with the extractor's error.
 func TestBatcherPropagatesPerRequestErrors(t *testing.T) {
-	pipes, corpus := batchEnv(t)
+	p, corpus := batchEnv(t)
 	raws := corpusRaws(t)
-	b := NewBatcher(pipes[false])
+	b := NewBatcher(p)
 	defer b.Close()
 	for _, bad := range [][]byte{[]byte("junk"), undecodableEntry(t, corpus[0])} {
 		if _, err := b.Submit(context.Background(), bad, 0); !errors.Is(err, ErrBadBinary) {
@@ -240,9 +225,8 @@ func TestBatcherPropagatesPerRequestErrors(t *testing.T) {
 // hang and never a zero decision — and Submit after Close (and double
 // Close) are safe.
 func TestBatcherCloseMidFlight(t *testing.T) {
-	pipes, _ := batchEnv(t)
+	p, _ := batchEnv(t)
 	raws := corpusRaws(t)
-	p := pipes[false]
 	b := NewBatcher(p)
 
 	var wg sync.WaitGroup

@@ -24,11 +24,10 @@ type request struct {
 	v    *features.Vectors
 	dec  *Decision
 	done chan struct{}
-	// key is the request's cache key; withKey marks it valid (set for
-	// every request when the pipeline has a cache attached), which asks
-	// the scoring stage to store this sample's verdict.
-	key     store.Key
-	withKey bool
+	// key is the request's cache key, the zero key when the pipeline
+	// has no cache attached. The scoring stage stores the sample's
+	// verdict under it only when a cache is attached.
+	key store.Key
 	// t0 is the queue-wait start stamp, the zero time when the batcher
 	// is uninstrumented (obs.Histogram.Start on nil reads no clock).
 	t0 time.Time
@@ -127,7 +126,7 @@ func NewBatcher(p *Pipeline) *Batcher {
 func (b *Batcher) Submit(ctx context.Context, raw []byte, salt int64) (*Decision, error) {
 	cache := b.p.cache
 	if cache == nil {
-		return b.analyze(ctx, raw, salt, store.Key{}, false)
+		return b.analyze(ctx, raw, salt, store.Key{})
 	}
 	k := b.p.byteKey(raw, salt)
 	t := b.p.met.cacheHitNs.Start()
@@ -151,9 +150,9 @@ func (b *Batcher) Submit(ctx context.Context, raw []byte, salt int64) (*Decision
 		case <-b.stop:
 			return nil, ErrBatcherClosed
 		}
-		return b.analyze(ctx, raw, salt, k, true)
+		return b.analyze(ctx, raw, salt, k)
 	}
-	d, err := b.analyze(ctx, raw, salt, k, true)
+	d, err := b.analyze(ctx, raw, salt, k)
 	// Publish to the followers whatever happened — on success the
 	// scoring stage already stored the verdict; on failure (including
 	// our own cancellation) ok=false sends them back to do the work
@@ -170,7 +169,7 @@ func (b *Batcher) Submit(ctx context.Context, raw []byte, salt int64) (*Decision
 // disassemble and extract, then hand the rows to the collector for
 // scoring. The admission check runs before parsing and again before
 // extraction.
-func (b *Batcher) analyze(ctx context.Context, raw []byte, salt int64, k store.Key, withKey bool) (*Decision, error) {
+func (b *Batcher) analyze(ctx context.Context, raw []byte, salt int64, k store.Key) (*Decision, error) {
 	if err := b.admit(ctx); err != nil {
 		return nil, err
 	}
@@ -193,7 +192,7 @@ func (b *Batcher) analyze(ctx context.Context, raw []byte, salt int64, k store.K
 		p.met.errors.Inc()
 		return nil, err
 	}
-	return b.enqueue(ctx, &request{v: v, key: k, withKey: withKey, done: make(chan struct{}), t0: b.met.waitNs.Start()})
+	return b.enqueue(ctx, &request{v: v, key: k, done: make(chan struct{}), t0: b.met.waitNs.Start()})
 }
 
 // admit turns a submission away, counted as rejected, once the batcher
@@ -300,18 +299,12 @@ func (b *Batcher) serve(batch []*request) {
 	c := p.getChunk()
 	c.shape(p, 0, n)
 	b.keys = b.keys[:0]
-	withKeys := true
 	for i, r := range batch {
 		b.met.waitNs.Stop(r.t0)
 		c.place(i, r.v, nil)
 		p.vecs.Put(r.v)
 		r.v = nil
 		b.keys = append(b.keys, r.key)
-		withKeys = withKeys && r.withKey
-	}
-	var keys []store.Key
-	if withKeys {
-		keys = b.keys
 	}
 	if cap(b.out) < n {
 		b.out = make([]*Decision, n)
@@ -319,8 +312,9 @@ func (b *Batcher) serve(batch []*request) {
 	out := b.out[:n]
 	t := p.met.scoreNs.Start()
 	// Every placed sample was extracted, so scoring reports no
-	// per-sample errors and needs no error slots.
-	p.scoreChunk(c, out, nil, keys)
+	// per-sample errors and needs no error slots. The keys are stored
+	// only when a cache is attached, and every request then carries one.
+	p.scoreChunk(c, out, nil, b.keys)
 	p.met.scoreNs.Stop(t)
 	p.chunks.Put(c)
 	for i, r := range batch {

@@ -123,8 +123,7 @@ func TestBatcherServesWaitingSubmittersTogether(t *testing.T) {
 // analyzeChunkSize of them and leaves the rest to the next batch — on
 // the collect path and on the drain path Close takes.
 func TestBatcherCapsBatchAtChunkSize(t *testing.T) {
-	pipes, _ := batchEnv(t)
-	p := pipes[false]
+	p, _ := batchEnv(t)
 	raws := corpusRaws(t)
 	// Every submitter sends the smallest binary: the test is about
 	// batch composition, not extraction.
@@ -182,8 +181,7 @@ func TestFullBatchScoresInOnePass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline training")
 	}
-	pipes, corpus := batchEnv(t)
-	p := pipes[false]
+	p, corpus := batchEnv(t)
 	p.Instrument(obs.NewRegistry())
 
 	mk := func(n int) ([]*disasm.CFG, []int64) {

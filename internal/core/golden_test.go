@@ -17,7 +17,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
 
 // TestDecisionsMatchGolden pins decisions across commits, not just
-// across two paths of one build: each batchEnv pipeline's fingerprint
+// across two paths of one build: the batchEnv pipeline's fingerprint
 // and every decision (verdict, RE bits, class) over batchCorpus plus a
 // few fixed-seed GEA merges must match the committed golden file. A
 // change that moves training, saved-model bytes or scoring arithmetic
@@ -30,7 +30,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 // Analyze and through a one-sample AnalyzeBatch — and both must print
 // the same golden lines.
 func TestDecisionsMatchGolden(t *testing.T) {
-	pipes, corpus := batchEnv(t)
+	p, corpus := batchEnv(t)
 
 	cfgs := make([]*disasm.CFG, 0, len(corpus)+3)
 	for _, s := range corpus {
@@ -71,31 +71,30 @@ func TestDecisionsMatchGolden(t *testing.T) {
 			return decs[0], nil
 		}},
 	}
+	fp, err := p.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The perWalk=false prefix dates from when the file also pinned a
+	// per-walk detector; it stays so the pinned lines do not change.
+	header := fmt.Sprintf("perWalk=false fingerprint=%x\n", fp)
 	var b strings.Builder
-	for _, perWalk := range []bool{false, true} {
-		p := pipes[perWalk]
-		fp, err := p.Fingerprint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		header := fmt.Sprintf("perWalk=%v fingerprint=%x\n", perWalk, fp)
-		b.WriteString(header)
-		decs, err := p.AnalyzeBatch(cfgs, salts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, d := range decs {
-			writeGoldenLine(&b, perWalk, i, d)
-		}
-		for a := range alone {
-			alone[a].lines.WriteString(header)
-			for i := range cfgs {
-				d, err := alone[a].score(p, i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				writeGoldenLine(&alone[a].lines, perWalk, i, d)
+	b.WriteString(header)
+	decs, err := p.AnalyzeBatch(cfgs, salts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range decs {
+		writeGoldenLine(&b, i, d)
+	}
+	for a := range alone {
+		alone[a].lines.WriteString(header)
+		for i := range cfgs {
+			d, err := alone[a].score(p, i)
+			if err != nil {
+				t.Fatal(err)
 			}
+			writeGoldenLine(&alone[a].lines, i, d)
 		}
 	}
 	got := b.String()
@@ -123,7 +122,7 @@ func TestDecisionsMatchGolden(t *testing.T) {
 	}
 }
 
-func writeGoldenLine(b *strings.Builder, perWalk bool, i int, d *Decision) {
-	fmt.Fprintf(b, "perWalk=%v sample=%d adversarial=%v re=%016x class=%v\n",
-		perWalk, i, d.Adversarial, math.Float64bits(d.RE), d.Class)
+func writeGoldenLine(b *strings.Builder, i int, d *Decision) {
+	fmt.Fprintf(b, "perWalk=false sample=%d adversarial=%v re=%016x class=%v\n",
+		i, d.Adversarial, math.Float64bits(d.RE), d.Class)
 }

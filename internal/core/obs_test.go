@@ -23,8 +23,8 @@ var (
 )
 
 // obsEnv trains one pipeline with Options.Obs set, using exactly the
-// options of batchEnv's aggregated-detector pipeline, so equivalence
-// tests can compare the instrumented twin against the plain one.
+// options of batchEnv's pipeline, so equivalence tests can compare the
+// instrumented twin against the plain one.
 func obsEnv(t *testing.T) (*Pipeline, *obs.Registry) {
 	t.Helper()
 	batchEnv(t)
@@ -50,8 +50,7 @@ func obsEnv(t *testing.T) (*Pipeline, *obs.Registry) {
 // decisions bit-identical to its uninstrumented twin, while the
 // registry actually fills with training and serving metrics.
 func TestObsEquivalence(t *testing.T) {
-	pipes, corpus := batchEnv(t)
-	plain := pipes[false]
+	plain, corpus := batchEnv(t)
 	inst, reg := obsEnv(t)
 
 	gotMu, gotSig := inst.Detector.Calibration()
@@ -117,8 +116,7 @@ func TestObsScoringAddsNoAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts at random, making pooled-path alloc counts noisy")
 	}
-	pipes, corpus := batchEnv(t)
-	plain := pipes[false]
+	plain, corpus := batchEnv(t)
 	inst, _ := obsEnv(t)
 
 	measure := func(p *Pipeline) float64 {
@@ -351,9 +349,9 @@ func TestFillFromIsFieldWise(t *testing.T) {
 // batch used to stay live until the next serve, or forever after the
 // final one.
 func TestBatcherScratchHoldsNoVectors(t *testing.T) {
-	pipes, _ := batchEnv(t)
+	p, _ := batchEnv(t)
 	raws := corpusRaws(t)
-	b := NewBatcher(pipes[false])
+	b := NewBatcher(p)
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)

@@ -132,7 +132,8 @@ func (in *persisted) check(topK int) error {
 
 // Load rebuilds a trained pipeline from Save output. A model whose
 // vocabularies, detector and classifiers disagree on dimensions is
-// rejected, not loaded.
+// rejected, not loaded, and so is one whose options set
+// PerWalkDetector (ErrPerWalkDetector).
 func Load(r io.Reader) (*Pipeline, error) {
 	var in persisted
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -140,6 +141,9 @@ func Load(r io.Reader) (*Pipeline, error) {
 	}
 	if in.Version != persistVersion {
 		return nil, fmt.Errorf("core: unsupported model version %d", in.Version)
+	}
+	if in.Options.PerWalkDetector {
+		return nil, ErrPerWalkDetector
 	}
 	ext := features.NewExtractor(in.Features)
 	if err := in.check(ext.WalkDim()); err != nil {

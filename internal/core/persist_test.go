@@ -190,12 +190,13 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsUnservableModels pins Load's dimension checks: each
-// case edits one part of a saved model so that it still decodes and
-// its networks still restore, but its parts disagree on a dimension.
-// Loaded, such a model panics on its first analysis (an IDF list
-// shorter than the vocabulary indexes past its end when vectorizing),
-// so Load must refuse it.
+// TestLoadRejectsUnservableModels pins Load's serving checks: each case
+// edits one part of a saved model so that it still decodes and its
+// networks still restore, but its parts disagree on a dimension or its
+// options ask for the deleted per-walk detector. Loaded, such a model
+// panics on its first analysis (an IDF list shorter than the
+// vocabulary indexes past its end when vectorizing) or scores rows it
+// was not trained on, so Load must refuse it.
 func TestLoadRejectsUnservableModels(t *testing.T) {
 	p, _, _ := cachePipeline(t)
 	var buf bytes.Buffer
@@ -237,6 +238,12 @@ func TestLoadRejectsUnservableModels(t *testing.T) {
 		{"classifier input dim", func(m map[string]any) {
 			obj(m, "cnnConfig")["inputDim"] = topK + 1
 		}, "classifier input dim"},
+		// A per-walk detector would score the walk-aggregated rows the
+		// pipeline serves without complaint, and every verdict would be
+		// wrong.
+		{"per-walk detector", func(m map[string]any) {
+			obj(m, "options")["perWalkDetector"] = true
+		}, "per-walk detector"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -251,7 +258,7 @@ func TestLoadRejectsUnservableModels(t *testing.T) {
 			}
 			_, err = Load(bytes.NewReader(body))
 			if err == nil {
-				t.Fatal("Load accepted a model whose parts disagree on dimensions")
+				t.Fatal("Load accepted an unservable model")
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("Load error %q, want one naming %q", err, c.want)

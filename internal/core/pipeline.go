@@ -45,13 +45,12 @@ type Options struct {
 	// which CI-scale configs shrink).
 	Filters    int `json:"filters"`
 	DenseUnits int `json:"denseUnits"`
-	// PerWalkDetector feeds the detector one combined vector per walk
-	// (detection statistic = mean RE over walks) instead of the default
-	// single walk-aggregated vector per sample. Measured in
-	// EXPERIMENTS.md: aggregation wins decisively — a single walk
-	// commits to one half of a GEA merge and looks clean, while the
-	// aggregate exposes the two-population mixture — so this exists for
-	// the ablation record.
+	// PerWalkDetector must be false: Train rejects true with
+	// ErrPerWalkDetector, and Load rejects a saved model that carries
+	// it. The per-walk detector it selected is deleted (DESIGN.md §5).
+	// The field stays because saved models serialize it under
+	// "options", and dropping the key would change every model's bytes
+	// and fingerprint.
 	PerWalkDetector bool `json:"perWalkDetector"`
 	// Seed drives all model randomness.
 	Seed int64 `json:"seed"`
@@ -62,10 +61,6 @@ type Options struct {
 	// produces bit-identical models and decisions to one trained
 	// without. Not persisted.
 	Obs *obs.Registry `json:"-"`
-	// Cache, when non-nil, is attached to the trained pipeline as its
-	// verdict cache (see Pipeline.AttachCache): verdicts are memoized
-	// under the freshly trained model's fingerprint. Not persisted.
-	Cache *store.Cache `json:"-"`
 }
 
 // DefaultOptions returns a CI-scale configuration that trains in tens of
@@ -197,10 +192,19 @@ type Decision struct {
 // ErrNoSamples is returned when Train receives no samples.
 var ErrNoSamples = errors.New("core: no training samples")
 
+// ErrPerWalkDetector is returned by Train, and by Load for a saved
+// model, when Options.PerWalkDetector is true: the per-walk detector
+// is gone, and a model trained with it cannot score the walk-aggregated
+// rows the pipeline serves.
+var ErrPerWalkDetector = errors.New("core: the per-walk detector is not supported; PerWalkDetector must be false")
+
 // Train fits the full pipeline on labeled clean samples. Per the
 // paper's operation mode, neither the detector nor the classifier ever
 // sees adversarial data.
 func Train(samples []*malgen.Sample, opts Options) (*Pipeline, error) {
+	if opts.PerWalkDetector {
+		return nil, ErrPerWalkDetector
+	}
 	if len(samples) == 0 {
 		return nil, ErrNoSamples
 	}
@@ -233,8 +237,6 @@ func Train(samples []*malgen.Sample, opts Options) (*Pipeline, error) {
 	walkRows := make([][]float64, len(samples)*wc)
 	lblRows := make([][]float64, len(samples)*wc)
 	walkLabels := make([]int, len(samples)*wc)
-	detRows := make([][]float64, len(samples)*wc)
-	detGroups := make([]int, len(samples)*wc)
 	par.For(len(samples), func(i int) {
 		v := vecs[i]
 		copy(combined.Row(i), v.Combined)
@@ -243,8 +245,6 @@ func Train(samples []*malgen.Sample, opts Options) (*Pipeline, error) {
 			walkRows[r] = v.DBL[w]
 			lblRows[r] = v.LBL[w]
 			walkLabels[r] = int(samples[i].Class)
-			detRows[r] = v.CombinedWalks[w]
-			detGroups[r] = i
 		}
 	})
 
@@ -261,15 +261,7 @@ func Train(samples []*malgen.Sample, opts Options) (*Pipeline, error) {
 	// in rescaled sparse-feature noise.
 	detCfg.NoStandardize = true
 	detCfg.NoiseStd = 0.02
-	var det *autoenc.Detector
-	if opts.PerWalkDetector {
-		// Per-walk rows already carry walk-randomness variety; skip the
-		// synthetic denoising replicas.
-		detCfg.NoiseStd = -1
-		det, err = autoenc.TrainGrouped(nn.FromRows(detRows), detGroups, detCfg)
-	} else {
-		det, err = autoenc.Train(combined, detCfg)
-	}
+	det, err := autoenc.Train(combined, detCfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: detector: %w", err)
 	}
@@ -294,11 +286,6 @@ func Train(samples []*malgen.Sample, opts Options) (*Pipeline, error) {
 		return nil, err
 	}
 	p.Instrument(opts.Obs)
-	if opts.Cache != nil {
-		if err := p.AttachCache(opts.Cache); err != nil {
-			return nil, err
-		}
-	}
 	return p, nil
 }
 
@@ -309,12 +296,7 @@ func (p *Pipeline) Analyze(c *disasm.CFG, salt int64) (*Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	var re float64
-	if p.opts.PerWalkDetector {
-		re = p.Detector.SampleError(v.CombinedWalks)
-	} else {
-		re = p.Detector.ReconstructionError(v.Combined)
-	}
+	re := p.Detector.ReconstructionError(v.Combined)
 	cls, err := p.Ensemble.Vote(v.DBL, v.LBL)
 	if err != nil {
 		return nil, err
@@ -347,16 +329,15 @@ const analyzeChunkSize = 512
 const analyzeDepth = 2
 
 // chunkBuf is one slot of the two-stage analyze pipeline: pre-offset
-// row matrices the extraction stage fills (chunk sample i owns rows
-// [i*wc, (i+1)*wc), wc the fixed per-sample walk count) and the
-// scoring stage consumes with cross-sample batched forwards.
+// row matrices the extraction stage fills (chunk sample i owns detector
+// row i and classifier rows [i*wc, (i+1)*wc), wc the fixed per-sample
+// walk count) and the scoring stage consumes with cross-sample batched
+// forwards.
 type chunkBuf struct {
 	lo, n      int        // sample range [lo, lo+n) of the batch
 	wc         int        // walks (classifier rows) per sample
-	perWalk    bool       // detector rows per walk rather than per sample
 	dblX, lblX *nn.Matrix // per-walk classifier rows, n*wc x WalkDim
-	detX       *nn.Matrix // detector rows: n*wc x Dim (per-walk) or n x Dim
-	groups     []int      // detector row -> chunk sample (per-walk mode)
+	detX       *nn.Matrix // walk-aggregated detector rows, n x Dim
 	errs       []error    // per-sample extraction errors
 	res        []float64  // per-sample reconstruction errors
 	cls        []int      // per-sample vote winners
@@ -374,18 +355,10 @@ func (p *Pipeline) getChunk() *chunkBuf {
 // fills each sample.
 func (c *chunkBuf) shape(p *Pipeline, lo, n int) {
 	c.lo, c.n = lo, n
-	c.wc, c.perWalk = p.Extractor.Config().WalkCount, p.opts.PerWalkDetector
+	c.wc = p.Extractor.Config().WalkCount
 	c.dblX = ensureMat(&c.dblX, n*c.wc, p.Extractor.WalkDim())
 	c.lblX = ensureMat(&c.lblX, n*c.wc, p.Extractor.WalkDim())
-	if c.perWalk {
-		c.detX = ensureMat(&c.detX, n*c.wc, p.Extractor.Dim())
-		c.groups = ensureInts(&c.groups, n*c.wc)
-		for r := range c.groups {
-			c.groups[r] = r / c.wc
-		}
-	} else {
-		c.detX = ensureMat(&c.detX, n, p.Extractor.Dim())
-	}
+	c.detX = ensureMat(&c.detX, n, p.Extractor.Dim())
 	c.errs = ensureErrs(&c.errs, n)
 }
 
@@ -401,26 +374,16 @@ func (c *chunkBuf) place(i int, v *features.Vectors, err error) {
 		for r := i * wc; r < (i+1)*wc; r++ {
 			zeroRow(c.dblX.Row(r))
 			zeroRow(c.lblX.Row(r))
-			if c.perWalk {
-				zeroRow(c.detX.Row(r))
-			}
 		}
-		if !c.perWalk {
-			zeroRow(c.detX.Row(i))
-		}
+		zeroRow(c.detX.Row(i))
 		return
 	}
 	for w := 0; w < wc; w++ {
 		r := i*wc + w
 		copy(c.dblX.Row(r), v.DBL[w])
 		copy(c.lblX.Row(r), v.LBL[w])
-		if c.perWalk {
-			copy(c.detX.Row(r), v.CombinedWalks[w])
-		}
 	}
-	if !c.perWalk {
-		copy(c.detX.Row(i), v.Combined)
-	}
+	copy(c.detX.Row(i), v.Combined)
 }
 
 // AnalyzeBatch analyzes many CFGs through a bounded two-stage pipeline:
@@ -528,11 +491,7 @@ func (p *Pipeline) scoreChunk(c *chunkBuf, out []*Decision, errs []error, keys [
 	if failed < c.n {
 		c.res = ensureF64(&c.res, c.n)
 		c.cls = ensureInts(&c.cls, c.n)
-		if c.perWalk {
-			p.Detector.SampleErrorsInto(c.res, c.detX, c.groups)
-		} else {
-			p.Detector.ReconstructionErrorsInto(c.res, c.detX)
-		}
+		p.Detector.ReconstructionErrorsInto(c.res, c.detX)
 		p.Ensemble.VoteBatchInto(c.cls, c.dblX, c.lblX, c.wc)
 		threshold = p.Detector.Threshold()
 	}

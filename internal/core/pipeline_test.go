@@ -42,6 +42,16 @@ func TestTrainEmptyCorpus(t *testing.T) {
 	}
 }
 
+// TestTrainRejectsPerWalkDetector pins that the deleted per-walk
+// detector cannot be asked for: Train refuses it before any work.
+func TestTrainRejectsPerWalkDetector(t *testing.T) {
+	opts := testOptions()
+	opts.PerWalkDetector = true
+	if _, err := Train(trainCorpus(t, 1), opts); err != ErrPerWalkDetector {
+		t.Fatalf("err = %v, want ErrPerWalkDetector", err)
+	}
+}
+
 func TestEndToEndPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline training")

@@ -74,13 +74,6 @@ func (e *refExtractor) extract(c *disasm.CFG, salt int64) *Vectors {
 	v.Combined = make([]float64, 0, len(dblAgg)+len(lblAgg))
 	v.Combined = append(v.Combined, dblAgg...)
 	v.Combined = append(v.Combined, lblAgg...)
-	v.CombinedWalks = make([][]float64, len(v.DBL))
-	for i := range v.CombinedWalks {
-		cw := make([]float64, 0, len(v.DBL[i])+len(v.LBL[i]))
-		cw = append(cw, v.DBL[i]...)
-		cw = append(cw, v.LBL[i]...)
-		v.CombinedWalks[i] = cw
-	}
 	return v
 }
 
@@ -185,7 +178,7 @@ func TestExtractAllocsBounded(t *testing.T) {
 	// Labeling, walks and counting run in pooled scratch, so steady
 	// state allocates little beyond the output: the Vectors struct, the
 	// per-walk / aggregate / combined float slices, and their holders —
-	// roughly 3*WalkCount + 10. Computing centrality with fresh
+	// roughly 2*WalkCount + 10. Computing centrality with fresh
 	// per-call buffers alone costs thousands; this bound locks that out
 	// with a little headroom for runtime noise.
 	budget := float64(4*cfg.WalkCount + 16)

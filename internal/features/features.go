@@ -76,9 +76,6 @@ type Vectors struct {
 	// Combined is the walk-aggregated detector vector: DBL features
 	// followed by LBL features, length 2*TopK.
 	Combined []float64
-	// CombinedWalks pairs walk i's DBL and LBL vectors into one
-	// 2*TopK vector — the per-walk detector representation.
-	CombinedWalks [][]float64
 }
 
 // scratch is one worker's reusable extraction state. Everything here is
@@ -356,21 +353,11 @@ func (e *Extractor) extractStrings(v *Vectors, c *disasm.CFG, salt int64) *Vecto
 	return v
 }
 
-// fillCombined populates Combined and CombinedWalks from the per-walk
-// vectors and the two aggregate vectors, reusing v's storage.
+// fillCombined writes the two aggregate vectors into Combined, reusing
+// its storage.
 func fillCombined(v *Vectors, dblAgg, lblAgg []float64) {
 	v.Combined = append(ensureVec(v.Combined, len(dblAgg)+len(lblAgg)), dblAgg...)
 	v.Combined = append(v.Combined, lblAgg...)
-
-	n := len(v.DBL)
-	if len(v.LBL) < n {
-		n = len(v.LBL)
-	}
-	v.CombinedWalks = ensureRows(v.CombinedWalks, n)
-	for i := 0; i < n; i++ {
-		cw := append(ensureVec(v.CombinedWalks[i], len(v.DBL[i])+len(v.LBL[i])), v.DBL[i]...)
-		v.CombinedWalks[i] = append(cw, v.LBL[i]...)
-	}
 }
 
 // ensureRows resizes a slice of rows to n entries, keeping surviving

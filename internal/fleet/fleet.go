@@ -19,12 +19,12 @@
 //     spot.
 //
 //   - Health-gated membership. A background prober GETs every
-//     backend's /healthz: FailAfter consecutive failures eject a
-//     replica from the rotation, ReadmitAfter consecutive successes
-//     readmit it. A transport error on a live request ejects
-//     immediately (the prober readmits after recovery), and the failed
-//     request retries on the next-ranked backend — bodies are fully
-//     buffered, so failover is safe to replay.
+//     backend's /healthz: two consecutive failures eject a replica
+//     from the rotation, two consecutive successes readmit it. A
+//     transport error on a live request ejects immediately (the prober
+//     readmits after recovery), and the failed request retries on the
+//     next-ranked backend — bodies are fully buffered, so failover is
+//     safe to replay.
 //
 //   - Admission control with deadline-aware shedding. A request is
 //     rejected with 503 + Retry-After instead of enqueued when the
@@ -78,20 +78,9 @@ type Config struct {
 	// request. At least one backend is required.
 	Backends []string
 
-	// Client is the forwarding HTTP client. Defaults to a client with a
-	// fresh Transport so fleet keep-alive pools are not shared with the
-	// process default.
-	Client *http.Client
-
-	// ProbeInterval is the health-probe period (default 250ms);
-	// ProbeTimeout bounds one probe round trip (default: ProbeInterval).
+	// ProbeInterval is the health-probe period (default 250ms). It also
+	// bounds one probe round trip.
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-
-	// FailAfter consecutive probe failures eject a backend (default 2);
-	// ReadmitAfter consecutive successes readmit it (default 2).
-	FailAfter    int
-	ReadmitAfter int
 
 	// MaxInflight caps the requests concurrently outstanding against
 	// one backend; a request that would push every admissible backend
@@ -107,29 +96,20 @@ type Config struct {
 	// replicas' own /analyze limit).
 	MaxBody int64
 
-	// RetryAfter is the hint returned with 503 responses (default 1s,
-	// rounded up to whole seconds).
-	RetryAfter time.Duration
-
 	// Obs receives the fleet's metrics; nil runs uninstrumented.
 	Obs *obs.Registry
 }
 
+// ejectAfter consecutive probe failures eject a backend from the
+// rotation; readmitAfter consecutive successes readmit it.
+const (
+	ejectAfter   = 2
+	readmitAfter = 2
+)
+
 func (c *Config) fill() {
-	if c.Client == nil {
-		c.Client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 250 * time.Millisecond
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.ProbeInterval
-	}
-	if c.FailAfter <= 0 {
-		c.FailAfter = 2
-	}
-	if c.ReadmitAfter <= 0 {
-		c.ReadmitAfter = 2
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 512
@@ -141,9 +121,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxBody <= 0 {
 		c.MaxBody = 16 << 20
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 }
 
@@ -215,6 +192,9 @@ type fleetObs struct {
 type Frontdoor struct {
 	cfg Config
 	bes []*backend
+	// client forwards requests and probes. Its own Transport keeps the
+	// fleet's keep-alive pools apart from the process default.
+	client *http.Client
 
 	ctx    context.Context // prober lifetime; Close cancels
 	cancel context.CancelFunc
@@ -235,7 +215,7 @@ func New(cfg Config) (*Frontdoor, error) {
 		return nil, errors.New("fleet: no backends configured")
 	}
 	cfg.fill()
-	f := &Frontdoor{cfg: cfg}
+	f := &Frontdoor{cfg: cfg, client: &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}}
 	for _, raw := range cfg.Backends {
 		u, err := url.Parse(raw)
 		if err != nil {
@@ -306,11 +286,13 @@ func (f *Frontdoor) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// Close stops the health prober. Idempotent; the Frontdoor must not
-// serve requests after Close.
+// Close stops the health prober and drops the front door's idle
+// keep-alive connections. Idempotent; the Frontdoor must not serve
+// requests after Close.
 func (f *Frontdoor) Close() {
 	f.once.Do(f.cancel)
 	f.wg.Wait()
+	f.client.CloseIdleConnections()
 }
 
 // rendezvousScore is the highest-random-weight hash of (backend,
@@ -391,25 +373,17 @@ func (f *Frontdoor) markFailed(be *backend) {
 	}
 }
 
-// shed rejects a request with 503 + Retry-After.
+// shed rejects a request with 503 + Retry-After: 1.
 func (f *Frontdoor) shed(w http.ResponseWriter, reason string, deadline bool) {
 	f.met.shed.Inc()
 	if deadline {
 		f.met.shedDeadline.Inc()
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(f.cfg.RetryAfter)))
+	w.Header().Set("Retry-After", "1")
 	if f.draining.Load() {
 		w.Header().Set("Connection", "close")
 	}
 	http.Error(w, reason, http.StatusServiceUnavailable)
-}
-
-func retryAfterSeconds(d time.Duration) int {
-	s := int((d + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return s
 }
 
 // deadlineOf extracts the request's effective deadline: the context's
@@ -543,7 +517,7 @@ func (f *Frontdoor) forward(w http.ResponseWriter, r *http.Request, be *backend,
 		req.Header.Set(DeadlineHeader, v)
 	}
 	start := time.Now()
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := f.client.Do(req)
 	if err != nil {
 		// The client's own cancellation is not the backend's failure:
 		// don't eject, don't retry — the caller is gone.

@@ -220,7 +220,7 @@ func TestLeastLoadedOverflow(t *testing.T) {
 func TestHealthEjectReadmit(t *testing.T) {
 	a, b := newStub(t, "a"), newStub(t, "b")
 	reg := obs.NewRegistry()
-	door := newDoor(t, Config{Obs: reg, FailAfter: 2, ReadmitAfter: 2}, a, b)
+	door := newDoor(t, Config{Obs: reg}, a, b)
 
 	send := func(n int, tag string) {
 		t.Helper()
@@ -462,7 +462,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 func TestModelSwapInvisibleToFleet(t *testing.T) {
 	a, b := newStub(t, "a"), newStub(t, "b")
 	reg := obs.NewRegistry()
-	door := newDoor(t, Config{Obs: reg, FailAfter: 2}, a, b)
+	door := newDoor(t, Config{Obs: reg}, a, b)
 
 	body := []byte("affinity-pinned-sample")
 	versions := map[int64]bool{}

@@ -27,7 +27,7 @@ func (f *Frontdoor) probeLoop(ctx context.Context) {
 
 // probeAll runs one probe round. Backends probe concurrently so one
 // hung replica cannot delay membership decisions for the rest; the
-// round still completes within ProbeTimeout.
+// round still completes within ProbeInterval.
 func (f *Frontdoor) probeAll(ctx context.Context) {
 	done := make(chan struct{}, len(f.bes))
 	for _, be := range f.bes {
@@ -46,18 +46,18 @@ func (f *Frontdoor) probeAll(ctx context.Context) {
 // probe runs one backend's health check. consecFail/consecOK are
 // prober-owned state: only this goroutine moves them.
 func (f *Frontdoor) probe(ctx context.Context, be *backend) {
-	pctx, cancel := context.WithTimeout(ctx, f.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, f.cfg.ProbeInterval)
 	defer cancel()
 	if f.probeOnce(pctx, be) {
 		be.consecFail = 0
 		be.consecOK++
-		if !be.healthy.Load() && be.consecOK >= f.cfg.ReadmitAfter {
+		if !be.healthy.Load() && be.consecOK >= readmitAfter {
 			be.healthy.Store(true)
 		}
 	} else {
 		be.consecOK = 0
 		be.consecFail++
-		if be.consecFail >= f.cfg.FailAfter {
+		if be.consecFail >= ejectAfter {
 			be.healthy.Store(false)
 		}
 	}
@@ -69,7 +69,7 @@ func (f *Frontdoor) probeOnce(ctx context.Context, be *backend) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := f.client.Do(req)
 	if err != nil {
 		return false
 	}

@@ -21,22 +21,20 @@ var batchMissTargets = map[string]struct {
 	"Probs":                {cnnPath, "Classifier.Probs over all rows at once"},
 	"ReconstructionError":  {autoencPath, "Detector.ReconstructionErrorsInto"},
 	"ReconstructionErrors": {autoencPath, "Detector.ReconstructionErrorsInto over all rows at once"},
-	"SampleError":          {autoencPath, "Detector.SampleErrorsInto"},
 }
 
 // BatchMissAnalyzer flags per-sample scoring calls inside worker-pool
 // loop bodies: Ensemble.Vote, Classifier.Probs and the detector's
-// ReconstructionError/SampleError each run a forward pass, so calling
-// them once per item from a par.For/ForChunked body feeds the blocked
-// GEMM a stream of tiny matrices that can never amortize kernel
-// packing — per-walk slivers instead of the one large product the
-// batched entry points (VoteBatch, SampleErrors,
-// ReconstructionErrorsInto) were built to run. Standalone-eval loops
+// ReconstructionError(s) each run a forward pass, so calling them once
+// per item from a par.For/ForChunked body feeds the blocked GEMM a
+// stream of tiny matrices that can never amortize kernel packing —
+// per-walk slivers instead of the one large product the batched entry
+// points (VoteBatch, ReconstructionErrorsInto) were built to run. Standalone-eval loops
 // that knowingly trade throughput for per-sample control carry a
 // //lint:ignore batchmiss justification in place.
 var BatchMissAnalyzer = &Analyzer{
 	Name: "batchmiss",
-	Doc: "flag per-sample scoring calls (Vote/Probs/ReconstructionError/SampleError) " +
+	Doc: "flag per-sample scoring calls (Vote/Probs/ReconstructionError) " +
 		"inside par loop bodies; assemble row matrices and use the batched entry points",
 	Run: runBatchMiss,
 }

@@ -33,10 +33,10 @@ func perChunkProbs(c *cnn.Classifier, rows []*nn.Matrix) {
 	})
 }
 
-func perGrainSample(det *autoenc.Detector, walks [][][]float64, res []float64) {
-	par.ForChunkedGrain(len(walks), 8, func(lo, hi int) {
+func perGrainSample(det *autoenc.Detector, vecs [][]float64, res []float64) {
+	par.ForChunkedGrain(len(vecs), 8, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			res[i] = det.SampleError(walks[i]) // want "Detector.SampleError inside a par.ForChunkedGrain body"
+			res[i] = det.ReconstructionError(vecs[i]) // want "Detector.ReconstructionError inside a par.ForChunkedGrain body"
 		}
 	})
 }

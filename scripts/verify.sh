@@ -53,5 +53,11 @@ go test -race ./internal/features ./internal/ngram ./internal/nn ./internal/core
     ./internal/par ./internal/walk ./internal/autoenc ./internal/cnn \
     ./internal/obs ./internal/lint ./internal/store ./internal/fleet ./internal/registry \
     ./internal/graph ./internal/labeling
+# The HTTP serve, hot-swap and in-process fleet tests drive the Batcher,
+# the registry and the front door from concurrent clients. The rest of
+# cmd/soteria trains models and runs the CLI's file mode, whose
+# concurrency the internal packages' race tests already cover, and
+# would add minutes under -race, so only these run here.
+go test -race -run 'Serve|Fleet' ./cmd/soteria
 
 echo "verify: OK"

@@ -196,8 +196,7 @@ func OpenCache(cfg CacheConfig) (*Cache, error) { return store.Open(cfg) }
 // model's fingerprint, so a cache may be shared between models (or
 // survive a retrain) without ever serving stale verdicts, and cached
 // decisions are bit-identical to uncached ones. Attach before serving
-// traffic, not concurrently with Analyze calls. Also reachable at
-// training time via Options.Cache.
+// traffic, not concurrently with Analyze calls.
 func (s *System) AttachCache(c *Cache) error { return s.pipeline.AttachCache(c) }
 
 // ModelRegistry is a versioned model registry for zero-downtime model
