@@ -7,9 +7,9 @@
 // samples above the threshold are flagged adversarial.
 //
 // The paper's layer widths are 1000 -> 2000 -> 3000 -> 2000 -> 1000,
-// i.e. hidden widths of 2x, 3x and 2x the input dimension; Config keeps
-// that ratio for any input size so CI-scale feature dimensions train in
-// seconds while paper-scale dimensions remain available.
+// i.e. hidden widths of 2x, 3x and 2x the input dimension. The detector
+// keeps that ratio for any input size, so CI-scale feature dimensions
+// train in seconds while paper-scale dimensions remain available.
 package autoenc
 
 import (
@@ -25,11 +25,10 @@ import (
 
 // Config parameterizes the detector.
 type Config struct {
-	// InputDim is the combined feature dimension (paper: 1000).
+	// InputDim is the combined feature dimension (paper: 1000). The
+	// hidden widths are fixed at 2x, 3x and 2x InputDim (paper: 2000,
+	// 3000, 2000).
 	InputDim int `json:"inputDim"`
-	// Hidden are the encoder/decoder widths (paper: 2000, 3000, 2000).
-	// Empty means 2x/3x/2x of InputDim.
-	Hidden []int `json:"hidden"`
 	// Alpha is the threshold multiplier in T = mu + alpha*sigma
 	// (paper: 1.0, chosen without access to the test set).
 	Alpha float64 `json:"alpha"`
@@ -38,31 +37,33 @@ type Config struct {
 	BatchSize int `json:"batchSize"`
 	// LR is the Adam learning rate.
 	LR float64 `json:"lr"`
-	// ValFraction is the share of the clean training set held out for
-	// the validation unit that calibrates mu and sigma. Calibrating on
-	// unseen clean data keeps the threshold honest when the autoencoder
-	// memorizes its training rows. Default 0.15.
-	ValFraction float64 `json:"valFraction"`
-	// NoiseStd adds Gaussian input noise during training (denoising
-	// autoencoder): each training row also appears as Augment noisy
-	// replicas whose reconstruction target is the clean row. The noise
-	// scale is relative — each feature's noise is NoiseStd times that
-	// feature's standard deviation over the training set — so it adapts
-	// to the feature magnitude. This keeps held-out clean samples
-	// reconstructible when the training corpus is small. Default 0.25;
-	// set negative to disable.
-	NoiseStd float64 `json:"noiseStd"`
-	// Augment is the number of noisy replicas per row (default 3).
-	Augment int `json:"augment"`
-	// NoStandardize disables the z-score feature standardization in
-	// front of the autoencoder (enabled by default).
-	NoStandardize bool `json:"noStandardize"`
 	// Seed makes weight init and batching deterministic.
 	Seed int64 `json:"seed"`
 	// Hooks observes per-epoch training loss and wall time (nil = off).
 	// Write-only: fitted weights are bit-identical with hooks on or off.
 	Hooks *obs.TrainHooks `json:"-"`
 }
+
+// Training settings the paper leaves open, fixed by the detector design
+// study (EXPERIMENTS.md). The detector reads its feature vectors as
+// they come, L2-normalized per labeling, without z-scoring.
+const (
+	// valFraction is the share of the clean training set held out for
+	// the validation unit that calibrates mu and sigma. Calibrating on
+	// unseen clean data keeps the threshold honest when the autoencoder
+	// memorizes its training rows.
+	valFraction = 0.15
+	// noiseStd is the standard deviation of the Gaussian input noise of
+	// denoising training, an absolute scale on the feature values (each
+	// labeling's half of a detector vector has unit L2 norm): each
+	// training row also appears as augment noisy replicas whose
+	// reconstruction target is the clean row. This light prior keeps
+	// held-out clean samples reconstructible when the training corpus
+	// is small.
+	noiseStd = 0.02
+	// augment is the number of noisy replicas per training row.
+	augment = 3
+)
 
 // DefaultConfig returns the paper's training parameters for the given
 // input dimension.
@@ -81,9 +82,6 @@ func (c *Config) fill() error {
 	if c.InputDim <= 0 {
 		return fmt.Errorf("autoenc: invalid input dim %d", c.InputDim)
 	}
-	if len(c.Hidden) == 0 {
-		c.Hidden = []int{2 * c.InputDim, 3 * c.InputDim, 2 * c.InputDim}
-	}
 	if c.Alpha == 0 {
 		c.Alpha = 1.0
 	}
@@ -96,18 +94,6 @@ func (c *Config) fill() error {
 	if c.LR <= 0 {
 		c.LR = 1e-3
 	}
-	if c.ValFraction <= 0 || c.ValFraction >= 0.9 {
-		c.ValFraction = 0.15
-	}
-	if c.NoiseStd == 0 {
-		c.NoiseStd = 0.25
-	}
-	if c.NoiseStd < 0 {
-		c.NoiseStd = 0
-	}
-	if c.Augment <= 0 {
-		c.Augment = 3
-	}
 	return nil
 }
 
@@ -116,16 +102,10 @@ type Detector struct {
 	cfg       Config
 	net       *nn.Network
 	mu, sigma float64
-	// Feature standardization (z-score) fitted on the training set.
-	// Standardizing before the autoencoder equalizes feature scales —
-	// raw TF-IDF values are tiny and sparse — and turns the depressed
-	// in-vocabulary mass of a GEA sample into large negative z-scores
-	// across many features, which reconstruct poorly.
-	featMean, featStd []float64
 
-	// scratch recycles per-call scoring buffers; each concurrent scorer
-	// borrows its own set, so scoring a shared detector is race-free
-	// and, at steady state, allocation-free.
+	// scratch recycles ReconstructionError's working set; each
+	// concurrent scorer borrows its own, so scoring a shared detector
+	// is race-free and, at steady state, allocation-free.
 	scratch sync.Pool
 
 	// met holds the detector's drift metrics; all fields are nil until
@@ -201,12 +181,13 @@ func (d *Detector) observeREs(res []float64) {
 	}
 }
 
-// scoreScratch is one scorer's working set: the standardized input and
-// the per-row error vector. (The reconstruction itself needs no buffer
-// — it is read straight from the network's inference arena.)
+// scoreScratch is one single-vector scorer's working set: a one-row
+// matrix over the caller's vector and its error. (The reconstruction
+// itself needs no buffer — it is read straight from the network's
+// inference arena.)
 type scoreScratch struct {
-	z   *nn.Matrix
-	res []float64
+	x   nn.Matrix
+	res [1]float64
 }
 
 func (d *Detector) getScratch() *scoreScratch {
@@ -216,63 +197,17 @@ func (d *Detector) getScratch() *scoreScratch {
 	return new(scoreScratch)
 }
 
-// ensureF64 resizes a float64 slice, reusing capacity. Contents are
-// unspecified.
-func ensureF64(s *[]float64, n int) []float64 {
-	if cap(*s) < n {
-		*s = make([]float64, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-// ensureMat resizes *m to rows x cols, reusing the backing storage
-// when possible. Contents are unspecified.
-func ensureMat(m **nn.Matrix, rows, cols int) *nn.Matrix {
-	if *m == nil || cap((*m).Data) < rows*cols {
-		*m = nn.NewMatrix(rows, cols)
-		return *m
-	}
-	(*m).Rows, (*m).Cols, (*m).Data = rows, cols, (*m).Data[:rows*cols]
-	return *m
-}
-
-// standardize maps raw feature rows into z-score space.
-func (d *Detector) standardize(x *nn.Matrix) *nn.Matrix {
-	out := x.Clone()
-	d.standardizeInPlace(out)
-	return out
-}
-
-func (d *Detector) standardizeInPlace(x *nn.Matrix) {
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		for j := range row {
-			row[j] = (row[j] - d.featMean[j]) / d.featStd[j]
-		}
-	}
-}
-
-// scoreInto reconstructs the already-standardized rows of z and writes
-// each row's RMSE into dst (length z.Rows). The reconstruction is read
-// straight from the network's inference arena, so the pass makes no
-// output copy and no allocation.
-func (d *Detector) scoreInto(dst []float64, z *nn.Matrix) {
-	d.net.PredictApply(z, func(rec *nn.Matrix) {
-		nn.RMSEInto(dst, rec, z)
-	})
-}
-
-// standardizeCopy copies x into the scratch matrix s.z and z-scores it,
-// leaving the caller's input untouched.
-func (d *Detector) standardizeCopy(s *scoreScratch, x *nn.Matrix) *nn.Matrix {
+// scoreInto reconstructs the rows of x and writes each row's RMSE into
+// dst (length x.Rows). The reconstruction is read straight from the
+// network's inference arena, so the pass makes no copy of its input or
+// output and no allocation.
+func (d *Detector) scoreInto(dst []float64, x *nn.Matrix) {
 	if x.Cols != d.cfg.InputDim {
 		panic(fmt.Sprintf("autoenc: input has %d features, want %d", x.Cols, d.cfg.InputDim))
 	}
-	z := ensureMat(&s.z, x.Rows, x.Cols)
-	copy(z.Data, x.Data)
-	d.standardizeInPlace(z)
-	return z
+	d.net.PredictApply(x, func(rec *nn.Matrix) {
+		nn.RMSEInto(dst, rec, x)
+	})
 }
 
 // ErrNoTrainingData is returned when Train receives an empty matrix.
@@ -280,7 +215,7 @@ var ErrNoTrainingData = errors.New("autoenc: no training data")
 
 // Train fits the autoencoder on clean feature vectors (rows of x) and
 // calibrates the detection threshold from the reconstruction errors of
-// a held-out validation unit: a shuffled ValFraction of the rows that
+// a held-out validation unit: a shuffled valFraction of the rows that
 // the network never trains on. The detector never sees adversarial
 // data, per the paper's operation mode.
 func Train(x *nn.Matrix, cfg Config) (*Detector, error) {
@@ -296,18 +231,6 @@ func Train(x *nn.Matrix, cfg Config) (*Detector, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	net := buildNet(cfg, rng)
 
-	d := &Detector{cfg: cfg, net: net}
-	if cfg.NoStandardize {
-		d.featMean = make([]float64, x.Cols)
-		d.featStd = make([]float64, x.Cols)
-		for j := range d.featStd {
-			d.featStd[j] = 1
-		}
-	} else {
-		d.featMean, d.featStd = columnMeanStd(x)
-	}
-	z := d.standardize(x)
-
 	// Split off the validation unit's calibration rows. Both splits
 	// keep ascending row order; only membership is shuffled.
 	perm := make([]int, x.Rows)
@@ -315,7 +238,7 @@ func Train(x *nn.Matrix, cfg Config) (*Detector, error) {
 		perm[i] = i
 	}
 	rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-	nVal := int(float64(x.Rows) * cfg.ValFraction)
+	nVal := int(float64(x.Rows) * valFraction)
 	if nVal < 1 && x.Rows > 1 {
 		nVal = 1
 	}
@@ -334,35 +257,25 @@ func Train(x *nn.Matrix, cfg Config) (*Detector, error) {
 	if len(trainRows) == 0 {
 		trainRows = valRows
 	}
-	trainX := nn.NewMatrix(len(trainRows), z.Cols)
-	for i, r := range trainRows {
-		copy(trainX.Row(i), z.Row(r))
-	}
 
-	// Denoising augmentation: clean rows plus noisy replicas targeting
-	// the clean row (features are standardized, so NoiseStd is already
-	// relative to feature scale).
-	inX, tgtX := trainX, trainX
-	if cfg.NoiseStd > 0 && cfg.Augment > 0 {
-		rows := trainX.Rows * (1 + cfg.Augment)
-		in := nn.NewMatrix(rows, trainX.Cols)
-		tgt := nn.NewMatrix(rows, trainX.Cols)
-		for i := 0; i < trainX.Rows; i++ {
-			copy(in.Row(i), trainX.Row(i))
-			copy(tgt.Row(i), trainX.Row(i))
-		}
-		for a := 0; a < cfg.Augment; a++ {
-			for i := 0; i < trainX.Rows; i++ {
-				r := (1+a)*trainX.Rows + i
-				src := trainX.Row(i)
-				dst := in.Row(r)
-				for j, v := range src {
-					dst[j] = v + cfg.NoiseStd*rng.NormFloat64()
-				}
-				copy(tgt.Row(r), src)
+	// Denoising augmentation: the training rows, then augment noisy
+	// replicas of them, each row targeting its clean original.
+	n := len(trainRows)
+	inX := nn.NewMatrix(n*(1+augment), x.Cols)
+	tgtX := nn.NewMatrix(inX.Rows, x.Cols)
+	for i, r := range trainRows {
+		copy(inX.Row(i), x.Row(r))
+	}
+	for a := 0; a < augment; a++ {
+		for i := 0; i < n; i++ {
+			dst := inX.Row((1+a)*n + i)
+			for j, v := range inX.Row(i) {
+				dst[j] = v + noiseStd*rng.NormFloat64()
 			}
 		}
-		inX, tgtX = in, tgt
+	}
+	for r := 0; r < tgtX.Rows; r++ {
+		copy(tgtX.Row(r), inX.Row(r%n))
 	}
 
 	tr := nn.Trainer{Net: net, Loss: nn.MSE{}, Opt: nn.NewAdam(cfg.LR)}
@@ -380,17 +293,19 @@ func Train(x *nn.Matrix, cfg Config) (*Detector, error) {
 	if len(calibRows) == 0 {
 		calibRows = trainRows
 	}
-	calibX := nn.NewMatrix(len(calibRows), z.Cols)
+	calibX := nn.NewMatrix(len(calibRows), x.Cols)
 	for i, r := range calibRows {
-		copy(calibX.Row(i), z.Row(r))
+		copy(calibX.Row(i), x.Row(r))
 	}
-	d.mu, d.sigma = meanStd(nn.RMSE(net.PredictInto(nil, calibX), calibX))
-	return d, nil
+	mu, sigma := meanStd(nn.RMSE(net.PredictInto(nil, calibX), calibX))
+	return &Detector{cfg: cfg, net: net, mu: mu, sigma: sigma}, nil
 }
 
+// buildNet builds the paper's five-layer autoencoder at cfg.InputDim:
+// hidden widths 2x, 3x and 2x the input.
 func buildNet(cfg Config, rng *rand.Rand) *nn.Network {
-	dims := append([]int{cfg.InputDim}, cfg.Hidden...)
-	dims = append(dims, cfg.InputDim)
+	in := cfg.InputDim
+	dims := []int{in, 2 * in, 3 * in, 2 * in, in}
 	layers := make([]nn.Layer, 0, 2*len(dims))
 	for i := 0; i+1 < len(dims); i++ {
 		layers = append(layers, nn.NewDense(dims[i], dims[i+1], rng))
@@ -401,17 +316,16 @@ func buildNet(cfg Config, rng *rand.Rand) *nn.Network {
 	return nn.NewNetwork(layers...)
 }
 
-// ReconstructionErrors returns the per-row RMSE between the
-// standardized input and its reconstruction. Safe for concurrent use
-// on a shared trained detector; the returned slice is the call's only
-// allocation.
+// ReconstructionErrors returns the per-row RMSE between the input and
+// its reconstruction. Safe for concurrent use on a shared trained
+// detector; the returned slice is the call's only allocation.
 func (d *Detector) ReconstructionErrors(x *nn.Matrix) []float64 {
 	return d.ReconstructionErrorsInto(make([]float64, x.Rows), x)
 }
 
 // ReconstructionErrorsInto is ReconstructionErrors written into a
-// caller-provided slice of length x.Rows: one batched
-// standardize+forward+RMSE pass, allocation-free at steady state and
+// caller-provided slice of length x.Rows: one batched forward+RMSE
+// pass over the caller's rows, allocation-free at steady state and
 // safe for concurrent use.
 func (d *Detector) ReconstructionErrorsInto(dst []float64, x *nn.Matrix) []float64 {
 	if len(dst) != x.Rows {
@@ -420,10 +334,7 @@ func (d *Detector) ReconstructionErrorsInto(dst []float64, x *nn.Matrix) []float
 	if x.Rows == 0 {
 		return dst
 	}
-	s := d.getScratch()
-	z := d.standardizeCopy(s, x)
-	d.scoreInto(dst, z)
-	d.scratch.Put(s)
+	d.scoreInto(dst, x)
 	d.observeREs(dst)
 	return dst
 }
@@ -432,17 +343,10 @@ func (d *Detector) ReconstructionErrorsInto(dst []float64, x *nn.Matrix) []float
 // is allocation-free at steady state and safe for concurrent use.
 func (d *Detector) ReconstructionError(vec []float64) float64 {
 	s := d.getScratch()
-	z := ensureMat(&s.z, 1, d.cfg.InputDim)
-	if len(vec) != z.Cols {
-		panic(fmt.Sprintf("autoenc: feature vector has %d entries, want %d", len(vec), z.Cols))
-	}
-	row := z.Row(0)
-	for j, v := range vec {
-		row[j] = (v - d.featMean[j]) / d.featStd[j]
-	}
-	res := ensureF64(&s.res, 1)
-	d.scoreInto(res, z)
-	re := res[0]
+	s.x = nn.Matrix{Rows: 1, Cols: len(vec), Data: vec}
+	d.scoreInto(s.res[:], &s.x)
+	re := s.res[0]
+	s.x.Data = nil // the pool must not keep the caller's vector alive
 	d.scratch.Put(s)
 	d.observeRE(re)
 	return re
@@ -469,31 +373,6 @@ func (d *Detector) Alpha() float64 { return d.cfg.Alpha }
 // and sigma are retained from training).
 func (d *Detector) SetAlpha(alpha float64) { d.cfg.Alpha = alpha }
 
-// IsAdversarial reports whether one feature vector exceeds the
-// detection threshold.
-func (d *Detector) IsAdversarial(vec []float64) bool {
-	return d.ReconstructionError(vec) > d.Threshold()
-}
-
-// DetectBatch flags every row of x whose RE exceeds the threshold. The
-// returned slice is the call's only allocation.
-func (d *Detector) DetectBatch(x *nn.Matrix) []bool {
-	out := make([]bool, x.Rows)
-	if x.Rows == 0 {
-		return out
-	}
-	s := d.getScratch()
-	z := d.standardizeCopy(s, x)
-	res := ensureF64(&s.res, x.Rows)
-	d.scoreInto(res, z)
-	th := d.Threshold()
-	for i, r := range res {
-		out[i] = r > th
-	}
-	d.scratch.Put(s)
-	return out
-}
-
 // Network exposes the underlying autoencoder (for persistence).
 func (d *Detector) Network() *nn.Network { return d.net }
 
@@ -507,19 +386,11 @@ func (d *Detector) Calibration() (mu, sigma float64) { return d.mu, d.sigma }
 type State struct {
 	Weights   []float64 `json:"weights"`
 	Mu, Sigma float64
-	FeatMean  []float64 `json:"featMean"`
-	FeatStd   []float64 `json:"featStd"`
 }
 
 // State exports the detector's trained state.
 func (d *Detector) State() State {
-	return State{
-		Weights:  d.net.SaveWeights(),
-		Mu:       d.mu,
-		Sigma:    d.sigma,
-		FeatMean: append([]float64(nil), d.featMean...),
-		FeatStd:  append([]float64(nil), d.featStd...),
-	}
+	return State{Weights: d.net.SaveWeights(), Mu: d.mu, Sigma: d.sigma}
 }
 
 // Restore rebuilds a detector from persisted state.
@@ -527,47 +398,11 @@ func Restore(cfg Config, st State) (*Detector, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	if len(st.FeatMean) != cfg.InputDim || len(st.FeatStd) != cfg.InputDim {
-		return nil, fmt.Errorf("autoenc: standardization stats have %d/%d entries, want %d",
-			len(st.FeatMean), len(st.FeatStd), cfg.InputDim)
-	}
 	net := buildNet(cfg, rand.New(rand.NewSource(cfg.Seed)))
 	if err := net.LoadWeights(st.Weights); err != nil {
 		return nil, err
 	}
-	return &Detector{
-		cfg: cfg, net: net,
-		mu: st.Mu, sigma: st.Sigma,
-		featMean: st.FeatMean, featStd: st.FeatStd,
-	}, nil
-}
-
-// columnMeanStd returns per-column mean and standard deviation, with
-// zero-variance columns getting std 1 so standardization stays finite.
-func columnMeanStd(x *nn.Matrix) (mean, std []float64) {
-	mean = make([]float64, x.Cols)
-	std = make([]float64, x.Cols)
-	for i := 0; i < x.Rows; i++ {
-		for j, v := range x.Row(i) {
-			mean[j] += v
-		}
-	}
-	for j := range mean {
-		mean[j] /= float64(x.Rows)
-	}
-	for i := 0; i < x.Rows; i++ {
-		for j, v := range x.Row(i) {
-			d := v - mean[j]
-			std[j] += d * d
-		}
-	}
-	for j := range std {
-		std[j] = math.Sqrt(std[j] / float64(x.Rows))
-		if std[j] < 1e-12 {
-			std[j] = 1
-		}
-	}
-	return mean, std
+	return &Detector{cfg: cfg, net: net, mu: st.Mu, sigma: st.Sigma}, nil
 }
 
 func meanStd(xs []float64) (mean, std float64) {

@@ -3,6 +3,7 @@ package autoenc
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"soteria/internal/nn"
@@ -38,11 +39,22 @@ func shiftedVectors(rng *rand.Rand, n, dim int) *nn.Matrix {
 
 func testConfig(dim int) Config {
 	cfg := DefaultConfig(dim)
-	cfg.Hidden = []int{2 * dim, 3 * dim, 2 * dim}
 	cfg.Epochs = 60
 	cfg.BatchSize = 16
 	cfg.Seed = 7
 	return cfg
+}
+
+// flagged counts the rows of x whose reconstruction error exceeds the
+// detector's threshold.
+func flagged(d *Detector, x *nn.Matrix) int {
+	n := 0
+	for _, re := range d.ReconstructionErrors(x) {
+		if re > d.Threshold() {
+			n++
+		}
+	}
+	return n
 }
 
 func TestTrainSeparatesShiftedVectors(t *testing.T) {
@@ -56,19 +68,7 @@ func TestTrainSeparatesShiftedVectors(t *testing.T) {
 	cleanTest := cleanVectors(rng, 20, dim)
 	adv := shiftedVectors(rng, 20, dim)
 
-	cleanFlags := d.DetectBatch(cleanTest)
-	advFlags := d.DetectBatch(adv)
-	cleanFP, advTP := 0, 0
-	for _, f := range cleanFlags {
-		if f {
-			cleanFP++
-		}
-	}
-	for _, f := range advFlags {
-		if f {
-			advTP++
-		}
-	}
+	cleanFP, advTP := flagged(d, cleanTest), flagged(d, adv)
 	if advTP < 18 {
 		t.Fatalf("detected %d/20 shifted vectors, want >= 18", advTP)
 	}
@@ -79,17 +79,7 @@ func TestTrainSeparatesShiftedVectors(t *testing.T) {
 	// The paper's Fig. 13 shape: at alpha=2 nearly all clean samples
 	// pass while far-out-of-distribution vectors are still caught.
 	d.SetAlpha(2.0)
-	cleanFP2, advTP2 := 0, 0
-	for _, f := range d.DetectBatch(cleanTest) {
-		if f {
-			cleanFP2++
-		}
-	}
-	for _, f := range d.DetectBatch(adv) {
-		if f {
-			advTP2++
-		}
-	}
+	cleanFP2, advTP2 := flagged(d, cleanTest), flagged(d, adv)
 	if cleanFP2 > 3 {
 		t.Fatalf("flagged %d/20 clean vectors at alpha=2, want <= 3", cleanFP2)
 	}
@@ -142,13 +132,7 @@ func TestAlphaMonotonicity(t *testing.T) {
 	mixed := shiftedVectors(rng, 30, dim)
 	count := func(alpha float64) int {
 		d.SetAlpha(alpha)
-		n := 0
-		for _, f := range d.DetectBatch(mixed) {
-			if f {
-				n++
-			}
-		}
-		return n
+		return flagged(d, mixed)
 	}
 	prev := count(0)
 	for _, a := range []float64{0.5, 1.0, 1.5, 2.0} {
@@ -177,11 +161,18 @@ func TestDefaultConfigRatios(t *testing.T) {
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{2000, 3000, 2000}
-	for i, w := range want {
-		if cfg.Hidden[i] != w {
-			t.Fatalf("Hidden = %v, want %v", cfg.Hidden, want)
+	// The paper's 1000 -> 2000 -> 3000 -> 2000 -> 1000 autoencoder.
+	var widths []int
+	for _, l := range buildNet(cfg, rand.New(rand.NewSource(1))).Layers {
+		if dl, ok := l.(*nn.Dense); ok {
+			if len(widths) == 0 {
+				widths = append(widths, dl.In)
+			}
+			widths = append(widths, dl.Out)
 		}
+	}
+	if want := []int{1000, 2000, 3000, 2000, 1000}; !reflect.DeepEqual(widths, want) {
+		t.Fatalf("layer widths = %v, want %v", widths, want)
 	}
 	if cfg.Epochs != 100 || cfg.BatchSize != 128 || cfg.Alpha != 1.0 {
 		t.Fatalf("defaults = %+v", cfg)
@@ -204,10 +195,6 @@ func TestReconstructionErrorSingle(t *testing.T) {
 		if math.Abs(single-batch[i]) > 1e-12 {
 			t.Fatalf("row %d: single %v vs batch %v", i, single, batch[i])
 		}
-	}
-	flag := d.IsAdversarial(x.Row(0))
-	if flag != (batch[0] > d.Threshold()) {
-		t.Fatal("IsAdversarial inconsistent with threshold")
 	}
 }
 

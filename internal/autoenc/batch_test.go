@@ -7,7 +7,7 @@ import (
 )
 
 // TestBatchedScoringMatchesPerSample pins the batched entry points
-// bit-identical to the per-row one: one standardize+forward+RMSE pass
+// bit-identical to the per-row one: one forward+RMSE pass
 // over all rows must reproduce every per-row ReconstructionError
 // exactly, across batch sizes.
 func TestBatchedScoringMatchesPerSample(t *testing.T) {
@@ -32,8 +32,8 @@ func TestBatchedScoringMatchesPerSample(t *testing.T) {
 }
 
 // TestBatchedScoringZeroAllocSteadyState guards the batched entry
-// points: once scratch and dst are warm, scoring a multi-row batch
-// allocates nothing, and DetectBatch allocates only its verdict slice.
+// point: once the inference arenas and dst are warm, scoring a
+// multi-row batch allocates nothing.
 func TestBatchedScoringZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -42,13 +42,10 @@ func TestBatchedScoringZeroAllocSteadyState(t *testing.T) {
 	rows := 12
 	sub := &nn.Matrix{Rows: rows, Cols: x.Cols, Data: x.Data[:rows*x.Cols]}
 	res := make([]float64, rows)
-	for i := 0; i < 3; i++ { // warm scratch pools
+	for i := 0; i < 3; i++ { // warm the inference arenas
 		d.ReconstructionErrorsInto(res, sub)
 	}
 	if avg := testing.AllocsPerRun(100, func() { d.ReconstructionErrorsInto(res, sub) }); avg != 0 {
 		t.Errorf("ReconstructionErrorsInto allocates %v objects per call, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(100, func() { d.DetectBatch(sub) }); avg > 1 {
-		t.Errorf("DetectBatch allocates %v objects per call, want <= 1 (the verdict slice)", avg)
 	}
 }

@@ -38,8 +38,8 @@ func BenchmarkAutoencFit(b *testing.B) {
 var benchRE float64
 
 // BenchmarkDetectorScore measures steady-state inference of one sample
-// through standardization, the five dense layers, and the RMSE
-// reduction: the batch-of-one forward pass a served miss runs.
+// through the five dense layers and the RMSE reduction: the
+// batch-of-one forward pass a served miss runs.
 //
 //   - dense96 scores one dense random row on a detector trained on such
 //     rows, so no input is zero.
@@ -96,9 +96,8 @@ func benchScore(b *testing.B, d *Detector, vec []float64) {
 }
 
 // randomDetector builds an untrained detector of DefaultConfig's
-// geometry at the given input width: freshly initialized weights and
-// identity standardization, so input zeros reach the first layer as
-// zeros. Training one at the paper's width would take longer than the
+// geometry at the given input width, with freshly initialized weights.
+// Training one at the paper's width would take longer than the
 // measurement.
 func randomDetector(b *testing.B, dim int, seed int64) *Detector {
 	cfg := DefaultConfig(dim)
@@ -106,14 +105,5 @@ func randomDetector(b *testing.B, dim int, seed int64) *Detector {
 	if err := cfg.fill(); err != nil {
 		b.Fatal(err)
 	}
-	std := make([]float64, dim)
-	for j := range std {
-		std[j] = 1
-	}
-	return &Detector{
-		cfg:      cfg,
-		net:      buildNet(cfg, rand.New(rand.NewSource(seed))),
-		featMean: make([]float64, dim),
-		featStd:  std,
-	}
+	return &Detector{cfg: cfg, net: buildNet(cfg, rand.New(rand.NewSource(seed)))}
 }

@@ -83,8 +83,7 @@ func TestConcurrentScoringSharedDetector(t *testing.T) {
 // path to a from-scratch computation through the public network.
 func TestScoringMatchesUnpooledReference(t *testing.T) {
 	d, x := smallDetector(t)
-	z := d.standardize(x)
-	ref := nn.RMSE(d.Network().Predict(z), z)
+	ref := nn.RMSE(d.Network().Predict(x), x)
 	got := d.ReconstructionErrors(x)
 	for i := range ref {
 		if math.Abs(got[i]-ref[i]) != 0 {

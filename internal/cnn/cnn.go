@@ -23,14 +23,8 @@ type Config struct {
 	Classes int `json:"classes"`
 	// Filters per convolutional layer (paper: 46).
 	Filters int `json:"filters"`
-	// Kernel size (paper: 3).
-	Kernel int `json:"kernel"`
 	// DenseUnits in the classification block (paper: 512).
 	DenseUnits int `json:"denseUnits"`
-	// DropoutConv after each conv block (paper: 0.25).
-	DropoutConv float64 `json:"dropoutConv"`
-	// DropoutFC in the classification block (paper: 0.5).
-	DropoutFC float64 `json:"dropoutFC"`
 	// Epochs and BatchSize follow the paper (100, 128) by default.
 	Epochs    int `json:"epochs"`
 	BatchSize int `json:"batchSize"`
@@ -43,21 +37,28 @@ type Config struct {
 	Hooks *obs.TrainHooks `json:"-"`
 }
 
+// The paper's fixed architecture settings.
+const (
+	// kernel is the convolution kernel size (1x3).
+	kernel = 3
+	// dropoutConv follows each conv block.
+	dropoutConv = 0.25
+	// dropoutFC follows the dense layer of the classification block.
+	dropoutFC = 0.5
+)
+
 // DefaultConfig returns the paper's classifier parameters for a given
 // per-walk feature dimension and class count.
 func DefaultConfig(inputDim, classes int) Config {
 	return Config{
-		InputDim:    inputDim,
-		Classes:     classes,
-		Filters:     46,
-		Kernel:      3,
-		DenseUnits:  512,
-		DropoutConv: 0.25,
-		DropoutFC:   0.5,
-		Epochs:      100,
-		BatchSize:   128,
-		LR:          1e-3,
-		Seed:        1,
+		InputDim:   inputDim,
+		Classes:    classes,
+		Filters:    46,
+		DenseUnits: 512,
+		Epochs:     100,
+		BatchSize:  128,
+		LR:         1e-3,
+		Seed:       1,
 	}
 }
 
@@ -68,17 +69,8 @@ func (c *Config) fill() error {
 	if c.Filters <= 0 {
 		c.Filters = 46
 	}
-	if c.Kernel <= 0 {
-		c.Kernel = 3
-	}
 	if c.DenseUnits <= 0 {
 		c.DenseUnits = 512
-	}
-	if c.DropoutConv == 0 {
-		c.DropoutConv = 0.25
-	}
-	if c.DropoutFC == 0 {
-		c.DropoutFC = 0.5
 	}
 	if c.Epochs <= 0 {
 		c.Epochs = 100
@@ -91,7 +83,7 @@ func (c *Config) fill() error {
 	}
 	// The two conv blocks need enough sequence length to survive four
 	// valid convolutions and two poolings.
-	if c.InputDim < 4*c.Kernel+8 {
+	if c.InputDim < 4*kernel+8 {
 		return fmt.Errorf("cnn: input dim %d too small for two conv blocks", c.InputDim)
 	}
 	return nil
@@ -108,7 +100,7 @@ var ErrNoTrainingData = errors.New("cnn: no training data")
 
 // build constructs the paper's network for the config.
 func build(cfg Config, rng *rand.Rand) *nn.Network {
-	f, k := cfg.Filters, cfg.Kernel
+	f, k := cfg.Filters, kernel
 	// ConvB1.
 	c1a := nn.NewConv1D(cfg.InputDim, 1, f, k, 1, rng)
 	c1b := nn.NewConv1D(c1a.OutLen(), f, f, k, 1, rng)
@@ -121,12 +113,12 @@ func build(cfg Config, rng *rand.Rand) *nn.Network {
 	return nn.NewNetwork(
 		c1a, nn.NewReLU(),
 		c1b, nn.NewReLU(),
-		p1, nn.NewDropout(cfg.DropoutConv, rng),
+		p1, nn.NewDropout(dropoutConv, rng),
 		c2a, nn.NewReLU(),
 		c2b, nn.NewReLU(),
-		p2, nn.NewDropout(cfg.DropoutConv, rng),
+		p2, nn.NewDropout(dropoutConv, rng),
 		nn.NewDense(flat, cfg.DenseUnits, rng), nn.NewReLU(),
-		nn.NewDropout(cfg.DropoutFC, rng),
+		nn.NewDropout(dropoutFC, rng),
 		nn.NewDense(cfg.DenseUnits, cfg.Classes, rng),
 	)
 }

@@ -2,6 +2,7 @@ package cnn
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"soteria/internal/nn"
@@ -113,11 +114,25 @@ func TestTrainErrors(t *testing.T) {
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
 	cfg := DefaultConfig(500, 4)
-	if cfg.Filters != 46 || cfg.Kernel != 3 || cfg.DenseUnits != 512 {
+	if cfg.Filters != 46 || cfg.DenseUnits != 512 {
 		t.Fatalf("conv params = %+v", cfg)
 	}
-	if cfg.DropoutConv != 0.25 || cfg.DropoutFC != 0.5 {
-		t.Fatalf("dropout params = %+v", cfg)
+	// Kernel size and dropout rates are fixed in the built network.
+	var kernels []int
+	var dropouts []float64
+	for _, l := range build(cfg, rand.New(rand.NewSource(1))).Layers {
+		switch l := l.(type) {
+		case *nn.Conv1D:
+			kernels = append(kernels, l.Kernel)
+		case *nn.Dropout:
+			dropouts = append(dropouts, l.P)
+		}
+	}
+	if want := []int{3, 3, 3, 3}; !reflect.DeepEqual(kernels, want) {
+		t.Fatalf("conv kernels = %v, want %v", kernels, want)
+	}
+	if want := []float64{0.25, 0.25, 0.5}; !reflect.DeepEqual(dropouts, want) {
+		t.Fatalf("dropout rates = %v, want %v", dropouts, want)
 	}
 	if cfg.Epochs != 100 || cfg.BatchSize != 128 {
 		t.Fatalf("training params = %+v", cfg)

@@ -176,13 +176,15 @@ func TestBatcherCapsBatchAtChunkSize(t *testing.T) {
 // TestFullBatchScoresInOnePass: a batch of exactly analyzeChunkSize
 // samples — the largest the Batcher serves — must run one scoring pass
 // (one chunk, one set of sharded GEMMs), and one extra sample spills
-// into exactly one more.
+// into exactly one more. It counts passes on obsEnv's instrumented
+// pipeline: instrumenting batchEnv's shared one would leave the plain
+// side of the obs tests instrumented.
 func TestFullBatchScoresInOnePass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline training")
 	}
-	p, corpus := batchEnv(t)
-	p.Instrument(obs.NewRegistry())
+	p, _ := obsEnv(t)
+	_, corpus := batchEnv(t)
 
 	mk := func(n int) ([]*disasm.CFG, []int64) {
 		cfgs := make([]*disasm.CFG, n)

@@ -81,7 +81,7 @@ func benchEnv(b *testing.B) (*Pipeline, []*disasm.CFG, []*features.Vectors) {
 }
 
 // BenchmarkScoreChunk measures the scoring stage over a pre-extracted
-// 64-sample corpus — one batched standardize+forward+RMSE pass for the
+// 64-sample corpus — one batched forward+RMSE pass for the
 // detector and one batched forward per labeling for the ensemble,
 // exactly the work AnalyzeBatch performs after extraction.
 func BenchmarkScoreChunk(b *testing.B) {

@@ -75,9 +75,7 @@ func TestDecisionsMatchGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The perWalk=false prefix dates from when the file also pinned a
-	// per-walk detector; it stays so the pinned lines do not change.
-	header := fmt.Sprintf("perWalk=false fingerprint=%x\n", fp)
+	header := fmt.Sprintf("fingerprint=%x\n", fp)
 	var b strings.Builder
 	b.WriteString(header)
 	decs, err := p.AnalyzeBatch(cfgs, salts)
@@ -123,6 +121,6 @@ func TestDecisionsMatchGolden(t *testing.T) {
 }
 
 func writeGoldenLine(b *strings.Builder, i int, d *Decision) {
-	fmt.Fprintf(b, "perWalk=false sample=%d adversarial=%v re=%016x class=%v\n",
+	fmt.Fprintf(b, "sample=%d adversarial=%v re=%016x class=%v\n",
 		i, d.Adversarial, math.Float64bits(d.RE), d.Class)
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"soteria/internal/disasm"
+	"soteria/internal/malgen"
 	"soteria/internal/obs"
 )
 
@@ -45,12 +46,26 @@ func obsEnv(t *testing.T) (*Pipeline, *obs.Registry) {
 	return obsPipe, obsReg
 }
 
+// plainEnv returns batchEnv's pipeline as the uninstrumented side of an
+// obs comparison, failing the test if anything instrumented it: the
+// pipeline is shared across the package, so a test that instruments it
+// would silently turn these comparisons into instrumented against
+// instrumented.
+func plainEnv(t *testing.T) (*Pipeline, []*malgen.Sample) {
+	t.Helper()
+	p, corpus := batchEnv(t)
+	if p.reg != nil {
+		t.Fatal("batchEnv's shared pipeline carries a registry; the plain side must be uninstrumented")
+	}
+	return p, corpus
+}
+
 // TestObsEquivalence pins the write-only contract end to end: a
 // pipeline trained and served with a live registry produces models and
 // decisions bit-identical to its uninstrumented twin, while the
 // registry actually fills with training and serving metrics.
 func TestObsEquivalence(t *testing.T) {
-	plain, corpus := batchEnv(t)
+	plain, corpus := plainEnv(t)
 	inst, reg := obsEnv(t)
 
 	gotMu, gotSig := inst.Detector.Calibration()
@@ -116,7 +131,7 @@ func TestObsScoringAddsNoAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts at random, making pooled-path alloc counts noisy")
 	}
-	plain, corpus := batchEnv(t)
+	plain, corpus := plainEnv(t)
 	inst, _ := obsEnv(t)
 
 	measure := func(p *Pipeline) float64 {

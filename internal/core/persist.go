@@ -35,18 +35,21 @@ type vocabState struct {
 	Vocab []string  `json:"vocab"`
 	IDF   []float64 `json:"idf"`
 	Dim   int       `json:"dim"`
-	L2    bool      `json:"l2"`
 }
 
 func vocabOf(v *ngram.Vectorizer) vocabState {
-	return vocabState{Vocab: v.Vocab, IDF: v.IDF, Dim: v.Dim, L2: v.L2}
+	return vocabState{Vocab: v.Vocab, IDF: v.IDF, Dim: v.Dim}
 }
 
 func (vs vocabState) restore() *ngram.Vectorizer {
-	return ngram.Restore(vs.Vocab, vs.IDF, vs.Dim, vs.L2)
+	return ngram.Restore(vs.Vocab, vs.IDF, vs.Dim)
 }
 
-const persistVersion = 1
+// persistVersion is the model format Save writes and the only one Load
+// reads. Version 2 dropped the settings that have one value in use
+// (DESIGN.md §5); a version-1 model must be retrained, which is
+// deterministic from its seed.
+const persistVersion = 2
 
 // Save serializes the trained pipeline as JSON.
 func (p *Pipeline) Save(w io.Writer) error {
@@ -130,20 +133,16 @@ func (in *persisted) check(topK int) error {
 	return nil
 }
 
-// Load rebuilds a trained pipeline from Save output. A model whose
-// vocabularies, detector and classifiers disagree on dimensions is
-// rejected, not loaded, and so is one whose options set
-// PerWalkDetector (ErrPerWalkDetector).
+// Load rebuilds a trained pipeline from Save output. A model of
+// another format version, or one whose vocabularies, detector and
+// classifiers disagree on dimensions, is rejected, not loaded.
 func Load(r io.Reader) (*Pipeline, error) {
 	var in persisted
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("core: decode model: %w", err)
 	}
 	if in.Version != persistVersion {
-		return nil, fmt.Errorf("core: unsupported model version %d", in.Version)
-	}
-	if in.Options.PerWalkDetector {
-		return nil, ErrPerWalkDetector
+		return nil, fmt.Errorf("core: model format version %d is not supported (this build reads version %d); retrain the model with this build", in.Version, persistVersion)
 	}
 	ext := features.NewExtractor(in.Features)
 	if err := in.check(ext.WalkDim()); err != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -192,11 +193,11 @@ func TestLoadErrors(t *testing.T) {
 
 // TestLoadRejectsUnservableModels pins Load's serving checks: each case
 // edits one part of a saved model so that it still decodes and its
-// networks still restore, but its parts disagree on a dimension or its
-// options ask for the deleted per-walk detector. Loaded, such a model
-// panics on its first analysis (an IDF list shorter than the
-// vocabulary indexes past its end when vectorizing) or scores rows it
-// was not trained on, so Load must refuse it.
+// networks still restore, but its parts disagree on a dimension or it
+// claims the retired format version 1. Loaded, such a model panics on
+// its first analysis (an IDF list shorter than the vocabulary indexes
+// past its end when vectorizing) or scores with settings it was not
+// trained with, so Load must refuse it.
 func TestLoadRejectsUnservableModels(t *testing.T) {
 	p, _, _ := cachePipeline(t)
 	var buf bytes.Buffer
@@ -238,12 +239,11 @@ func TestLoadRejectsUnservableModels(t *testing.T) {
 		{"classifier input dim", func(m map[string]any) {
 			obj(m, "cnnConfig")["inputDim"] = topK + 1
 		}, "classifier input dim"},
-		// A per-walk detector would score the walk-aggregated rows the
-		// pipeline serves without complaint, and every verdict would be
-		// wrong.
-		{"per-walk detector", func(m map[string]any) {
-			obj(m, "options")["perWalkDetector"] = true
-		}, "per-walk detector"},
+		// Format 1 recorded settings that format 2 fixes; its error
+		// names the version so the caller knows to retrain.
+		{"version 1", func(m map[string]any) {
+			m["version"] = 1
+		}, "version 1"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -273,12 +273,57 @@ func TestLoadRejectsUnservableModels(t *testing.T) {
 // obj returns the JSON object at m[key].
 func obj(m map[string]any, key string) map[string]any { return m[key].(map[string]any) }
 
+// TestSaveWritesFormat2 pins the saved model's format: version 2, and
+// in each object that format 1 padded with settings that have one value
+// in use (z-scoring statistics, raw-magnitude and L2 switches, hidden
+// widths, noise, kernel and dropout settings, the per-walk switch),
+// exactly the keys format 2 keeps.
+func TestSaveWritesFormat2(t *testing.T) {
+	p, _, _ := cachePipeline(t)
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if v := m["version"]; v != 2.0 {
+		t.Fatalf("version = %v, want 2", v)
+	}
+	features := []string{"lengthFactor", "ns", "seed", "topK", "walkCount"}
+	vocab := []string{"dim", "idf", "vocab"}
+	for _, c := range []struct {
+		obj  map[string]any
+		path string
+		want []string
+	}{
+		{obj(m, "options"), "options", []string{"alpha", "batchSize", "classifierEpochs", "denseUnits", "detectorEpochs", "features", "filters", "lr", "seed"}},
+		{obj(obj(m, "options"), "features"), "options.features", features},
+		{obj(m, "features"), "features", features},
+		{obj(m, "dblVocab"), "dblVocab", vocab},
+		{obj(m, "lblVocab"), "lblVocab", vocab},
+		{obj(m, "detectorConfig"), "detectorConfig", []string{"alpha", "batchSize", "epochs", "inputDim", "lr", "seed"}},
+		{obj(m, "detectorState"), "detectorState", []string{"Mu", "Sigma", "weights"}},
+		{obj(m, "cnnConfig"), "cnnConfig", []string{"batchSize", "classes", "denseUnits", "epochs", "filters", "inputDim", "lr", "seed"}},
+	} {
+		keys := make([]string, 0, len(c.obj))
+		for k := range c.obj {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if !reflect.DeepEqual(keys, c.want) {
+			t.Errorf("saved %s keys = %v, want %v", c.path, keys, c.want)
+		}
+	}
+}
+
 func TestSeedFormatVocabularyRestoresPacked(t *testing.T) {
-	// The persisted vocabulary layer is unchanged from the seed format:
-	// string gram keys ("a|b|c", decimal labels). A vocabState decoded
-	// from seed-era JSON must restore into a vectorizer that serves both
-	// the string lookups the old code used and the new packed index.
-	raw := `{"vocab": ["0|1", "1|0", "10|2", "3|2|1"], "idf": [1.1, 1.2, 1.3, 0.9], "dim": 6, "l2": true}`
+	// The persisted vocabulary layer keeps the seed format's string
+	// gram keys ("a|b|c", decimal labels). A vocabState decoded from
+	// them must restore into a vectorizer that serves both the string
+	// lookups the old code used and the new packed index.
+	raw := `{"vocab": ["0|1", "1|0", "10|2", "3|2|1"], "idf": [1.1, 1.2, 1.3, 0.9], "dim": 6}`
 	var vs vocabState
 	if err := json.Unmarshal([]byte(raw), &vs); err != nil {
 		t.Fatal(err)
@@ -290,8 +335,8 @@ func TestSeedFormatVocabularyRestoresPacked(t *testing.T) {
 	if !v.Contains("10|2") || v.Contains("2|10") {
 		t.Fatal("string vocabulary lookup broken after restore")
 	}
-	if v.Dim != 6 || !v.L2 {
-		t.Fatalf("restored dim/L2 = %d/%v", v.Dim, v.L2)
+	if v.Dim != 6 {
+		t.Fatalf("restored dim = %d", v.Dim)
 	}
 	// Round-trip: saving the restored vectorizer reproduces the state.
 	if got := vocabOf(v); !reflect.DeepEqual(got, vs) {

@@ -46,12 +46,10 @@ type Options struct {
 	Filters    int `json:"filters"`
 	DenseUnits int `json:"denseUnits"`
 	// PerWalkDetector must be false: Train rejects true with
-	// ErrPerWalkDetector, and Load rejects a saved model that carries
-	// it. The per-walk detector it selected is deleted (DESIGN.md §5).
-	// The field stays because saved models serialize it under
-	// "options", and dropping the key would change every model's bytes
-	// and fingerprint.
-	PerWalkDetector bool `json:"perWalkDetector"`
+	// ErrPerWalkDetector. The per-walk detector it selected is deleted
+	// (DESIGN.md §5), and saved models do not record the field. It
+	// stays only because the benchmark's trace (perfbench) reads it.
+	PerWalkDetector bool `json:"-"`
 	// Seed drives all model randomness.
 	Seed int64 `json:"seed"`
 	// Obs, when non-nil, receives training metrics (per-epoch loss and
@@ -192,10 +190,8 @@ type Decision struct {
 // ErrNoSamples is returned when Train receives no samples.
 var ErrNoSamples = errors.New("core: no training samples")
 
-// ErrPerWalkDetector is returned by Train, and by Load for a saved
-// model, when Options.PerWalkDetector is true: the per-walk detector
-// is gone, and a model trained with it cannot score the walk-aggregated
-// rows the pipeline serves.
+// ErrPerWalkDetector is returned by Train when Options.PerWalkDetector
+// is true: the per-walk detector is gone.
 var ErrPerWalkDetector = errors.New("core: the per-walk detector is not supported; PerWalkDetector must be false")
 
 // Train fits the full pipeline on labeled clean samples. Per the
@@ -255,12 +251,6 @@ func Train(samples []*malgen.Sample, opts Options) (*Pipeline, error) {
 	detCfg.Alpha = opts.Alpha
 	detCfg.Seed = opts.Seed
 	detCfg.Hooks = opts.Obs.TrainHooks("train.detector")
-	// L2-normalized pattern features with a light denoising prior and no
-	// z-scoring won the detector study (see EXPERIMENTS.md): GEA merges
-	// shift the gram *pattern*, and standardization drowns that signal
-	// in rescaled sparse-feature noise.
-	detCfg.NoStandardize = true
-	detCfg.NoiseStd = 0.02
 	det, err := autoenc.Train(combined, detCfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: detector: %w", err)
@@ -472,7 +462,7 @@ func (p *Pipeline) extractChunk(c *chunkBuf, cfgs []*disasm.CFG, salts []int64, 
 }
 
 // scoreChunk runs the batched scoring stage over one extracted chunk —
-// one standardize+forward+RMSE pass for the detector and one forward
+// one forward+RMSE pass for the detector and one forward
 // per labeling for the ensemble — and scatters decisions into the
 // batch-level output. With a non-nil keys slice it also stores each
 // decision in the attached cache; this runs in the serial scoring

@@ -89,7 +89,6 @@ func (e *Extractor) Fit(bins []*isa.Binary) error {
 		corpus = append(corpus, ngram.Grams(trace, e.cfg.Ns))
 	}
 	e.v = ngram.Fit(corpus, e.cfg.TopK)
-	e.v.L2 = true
 	return nil
 }
 

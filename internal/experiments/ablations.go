@@ -100,8 +100,6 @@ func detectorStudy(env *Env, fcfg features.Config, mask string) (detectorQuality
 	dcfg.Epochs = env.Cfg.Opts.DetectorEpochs
 	dcfg.BatchSize = env.Cfg.Opts.BatchSize
 	dcfg.Seed = env.Cfg.Seed
-	dcfg.NoStandardize = true
-	dcfg.NoiseStd = 0.02
 	det, err := autoenc.Train(x, dcfg)
 	if err != nil {
 		return q, err
@@ -249,8 +247,6 @@ func AblationRandomization(env *Env) (*Report, error) {
 	dcfg := autoenc.DefaultConfig(baselines.GraphFeatureDim)
 	dcfg.Epochs = env.Cfg.Opts.DetectorEpochs
 	dcfg.Seed = env.Cfg.Seed
-	dcfg.NoStandardize = true
-	dcfg.NoiseStd = 0.02
 	det, err := autoenc.Train(x, dcfg)
 	if err != nil {
 		return nil, err

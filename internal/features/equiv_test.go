@@ -53,8 +53,6 @@ func (e *refExtractor) fit(cfgs []*disasm.CFG) {
 	}
 	e.dbl = ngram.Fit(dblCorpus, e.cfg.TopK)
 	e.lbl = ngram.Fit(lblCorpus, e.cfg.TopK)
-	e.dbl.L2 = !e.cfg.RawMagnitude
-	e.lbl.L2 = !e.cfg.RawMagnitude
 }
 
 func (e *refExtractor) extract(c *disasm.CFG, salt int64) *Vectors {
@@ -81,37 +79,33 @@ func (e *refExtractor) extract(c *disasm.CFG, salt int64) *Vectors {
 
 func TestPackedExtractionMatchesReference(t *testing.T) {
 	cfgs := corpusCFGs(t, 3)
-	for _, rawMag := range []bool{false, true} {
-		cfg := smallConfig()
-		cfg.RawMagnitude = rawMag
+	cfg := smallConfig()
+	ref := &refExtractor{cfg: cfg}
+	ref.fit(cfgs)
+	opt := NewExtractor(cfg)
+	opt.Fit(cfgs)
 
-		ref := &refExtractor{cfg: cfg}
-		ref.fit(cfgs)
-		opt := NewExtractor(cfg)
-		opt.Fit(cfgs)
+	dRef, lRef := ref.dbl, ref.lbl
+	dOpt, lOpt := opt.Vectorizers()
+	if !reflect.DeepEqual(dRef.Vocab, dOpt.Vocab) || !reflect.DeepEqual(lRef.Vocab, lOpt.Vocab) {
+		t.Fatal("fitted vocabularies differ from reference")
+	}
+	if !reflect.DeepEqual(dRef.IDF, dOpt.IDF) || !reflect.DeepEqual(lRef.IDF, lOpt.IDF) {
+		t.Fatal("IDF weights differ from reference")
+	}
+	if !dOpt.PackedReady() || !lOpt.PackedReady() {
+		t.Fatal("small CFG corpus should take the packed path")
+	}
 
-		dRef, lRef := ref.dbl, ref.lbl
-		dOpt, lOpt := opt.Vectorizers()
-		if !reflect.DeepEqual(dRef.Vocab, dOpt.Vocab) || !reflect.DeepEqual(lRef.Vocab, lOpt.Vocab) {
-			t.Fatalf("rawMag=%v: fitted vocabularies differ from reference", rawMag)
-		}
-		if !reflect.DeepEqual(dRef.IDF, dOpt.IDF) || !reflect.DeepEqual(lRef.IDF, lOpt.IDF) {
-			t.Fatalf("rawMag=%v: IDF weights differ from reference", rawMag)
-		}
-		if !dOpt.PackedReady() || !lOpt.PackedReady() {
-			t.Fatalf("rawMag=%v: small CFG corpus should take the packed path", rawMag)
-		}
-
-		for i, c := range cfgs {
-			for _, salt := range []int64{0, 1, 17, 1 << 40} {
-				want := ref.extract(c, salt)
-				got, err := opt.Extract(c, salt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("rawMag=%v sample %d salt %d: packed extraction differs from reference", rawMag, i, salt)
-				}
+	for i, c := range cfgs {
+		for _, salt := range []int64{0, 1, 17, 1 << 40} {
+			want := ref.extract(c, salt)
+			got, err := opt.Extract(c, salt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("sample %d salt %d: packed extraction differs from reference", i, salt)
 			}
 		}
 	}
@@ -175,13 +169,13 @@ func TestExtractAllocsBounded(t *testing.T) {
 		}
 		next++
 	})
-	// Labeling, walks and counting run in pooled scratch, so steady
-	// state allocates little beyond the output: the Vectors struct, the
-	// per-walk / aggregate / combined float slices, and their holders —
-	// roughly 2*WalkCount + 10. Computing centrality with fresh
-	// per-call buffers alone costs thousands; this bound locks that out
-	// with a little headroom for runtime noise.
-	budget := float64(4*cfg.WalkCount + 16)
+	// Labeling, walks, counting and the walk-aggregated vectors run in
+	// pooled scratch, so steady state allocates only the output: the
+	// Vectors struct, its two row holders (DBL, LBL), 2*WalkCount
+	// per-walk rows and Combined — 2*WalkCount + 4, plus 2 of headroom
+	// for runtime noise. Computing centrality with fresh per-call
+	// buffers alone would cost thousands.
+	budget := float64(2*cfg.WalkCount + 4 + 2)
 	if allocs > budget {
 		t.Fatalf("Extract allocates %.0f/op, budget %.0f", allocs, budget)
 	}

@@ -49,12 +49,6 @@ type Config struct {
 	// pair is deterministic; re-seeding re-randomizes the feature space,
 	// which is Soteria's defense-by-randomization property.
 	Seed int64 `json:"seed"`
-	// RawMagnitude disables the per-labeling L2 normalization of
-	// feature vectors. Normalized (pattern-only) vectors are the
-	// default: they are what separates GEA merges from clean samples,
-	// since a merged graph's in-vocabulary gram *distribution* shifts
-	// while its overall mass stays plausible.
-	RawMagnitude bool `json:"rawMagnitude"`
 }
 
 // DefaultConfig returns the paper's parameters.
@@ -256,8 +250,6 @@ func (e *Extractor) Fit(cfgs []*disasm.CFG) {
 		e.dbl = ngram.Fit(dblCorpus, e.cfg.TopK)
 		e.lbl = ngram.Fit(lblCorpus, e.cfg.TopK)
 	}
-	e.dbl.L2 = !e.cfg.RawMagnitude
-	e.lbl.L2 = !e.cfg.RawMagnitude
 }
 
 // FitVectorizers injects pre-built vocabularies (used when loading a

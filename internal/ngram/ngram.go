@@ -49,9 +49,16 @@ func AddGrams(counts map[string]int, trace []int, ns []int) {
 	}
 }
 
-// Vectorizer maps gram-count maps to fixed-size TF-IDF vectors over a
-// vocabulary selected at fit time. The zero value is unusable; build one
-// with Fit.
+// Vectorizer maps gram-count maps to fixed-size, L2-normalized TF-IDF
+// vectors over a vocabulary selected at fit time. The zero value is
+// unusable; build one with Fit.
+//
+// Normalization keeps each vector's gram pattern and drops its
+// magnitude. The detector design study (EXPERIMENTS.md) measured both:
+// a GEA merge shifts the pattern of its in-vocabulary grams, which the
+// detector catches, while the raw magnitude falls with the merge's
+// out-of-vocabulary mass and moves the vector toward the clean mean,
+// so unnormalized vectors let merges reconstruct better, not worse.
 type Vectorizer struct {
 	// Vocab is the selected grams in a fixed, deterministic order.
 	Vocab []string
@@ -60,12 +67,6 @@ type Vectorizer struct {
 	// Dim is the output vector length (>= len(Vocab); extra dimensions
 	// stay zero so vector sizes are stable regardless of corpus size).
 	Dim int
-	// L2 enables L2 normalization of output vectors. Off by default:
-	// normalization erases the out-of-vocabulary mass signal — a sample
-	// whose grams mostly fall outside the vocabulary (e.g. a GEA merge)
-	// shows up as a depressed in-vocabulary total, which the detector
-	// relies on.
-	L2 bool
 
 	index map[string]int
 	// pkeys holds the packed form of each vocab entry, by slot; nil
@@ -146,11 +147,10 @@ func Fit(corpus []map[string]int, k int) *Vectorizer {
 	return v
 }
 
-// Vector produces the TF-IDF vector of one sample's gram counts. Term
-// frequency is relative to the sample's total gram count (including
-// out-of-vocabulary grams), so vector magnitude encodes how much of the
-// sample's walk mass the vocabulary captures. With L2 set, the vector
-// is additionally L2-normalized.
+// Vector produces the L2-normalized TF-IDF vector of one sample's gram
+// counts. Term frequency is relative to the sample's total gram count
+// (including out-of-vocabulary grams); a sample with no in-vocabulary
+// gram yields the zero vector.
 func (v *Vectorizer) Vector(counts map[string]int) []float64 {
 	out := make([]float64, v.Dim)
 	totalGrams := 0
@@ -168,9 +168,7 @@ func (v *Vectorizer) Vector(counts map[string]int) []float64 {
 		tf := float64(c) / float64(totalGrams)
 		out[i] = tf * v.IDF[i]
 	}
-	if v.L2 {
-		normalize(out)
-	}
+	normalize(out)
 	return out
 }
 
@@ -182,12 +180,11 @@ func (v *Vectorizer) Contains(gram string) bool {
 
 // Restore rebuilds a vectorizer from persisted state (the exported
 // fields of a fitted Vectorizer).
-func Restore(vocab []string, idf []float64, dim int, l2 bool) *Vectorizer {
+func Restore(vocab []string, idf []float64, dim int) *Vectorizer {
 	v := &Vectorizer{
 		Vocab: append([]string(nil), vocab...),
 		IDF:   append([]float64(nil), idf...),
 		Dim:   dim,
-		L2:    l2,
 		index: make(map[string]int, len(vocab)),
 	}
 	for i, g := range v.Vocab {

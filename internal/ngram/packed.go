@@ -258,9 +258,7 @@ func (v *Vectorizer) VectorPackedInto(dst []float64, c *GramCounter) []float64 {
 			out[i] = tf * v.IDF[i]
 		}
 	}
-	if v.L2 {
-		normalize(out)
-	}
+	normalize(out)
 	return out
 }
 

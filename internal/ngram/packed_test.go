@@ -168,22 +168,19 @@ func TestFitPackedMatchesFit(t *testing.T) {
 func TestVectorPackedMatchesVector(t *testing.T) {
 	ns := []int{2, 3}
 	strCorpus, packCorpus := corpusPair(t, 20, 90, ns)
-	for _, l2 := range []bool{false, true} {
-		sv := Fit(strCorpus, 40)
-		pv := FitPacked(packCorpus, 40)
-		sv.L2, pv.L2 = l2, l2
-		for i := range strCorpus {
-			c := packCorpus[i]
-			want := sv.Vector(strCorpus[i])
-			got := pv.VectorPacked(c)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("l2=%v sample %d: packed vector differs from string vector", l2, i)
-			}
-			// Cross-path: a string-fitted vectorizer must serve packed
-			// lookups identically (the Restore scenario).
-			if cross := sv.VectorPacked(c); !reflect.DeepEqual(want, cross) {
-				t.Fatalf("l2=%v sample %d: string-fitted packed lookup differs", l2, i)
-			}
+	sv := Fit(strCorpus, 40)
+	pv := FitPacked(packCorpus, 40)
+	for i := range strCorpus {
+		c := packCorpus[i]
+		want := sv.Vector(strCorpus[i])
+		got := pv.VectorPacked(c)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("sample %d: packed vector differs from string vector", i)
+		}
+		// Cross-path: a string-fitted vectorizer must serve packed
+		// lookups identically (the Restore scenario).
+		if cross := sv.VectorPacked(c); !reflect.DeepEqual(want, cross) {
+			t.Fatalf("sample %d: string-fitted packed lookup differs", i)
 		}
 	}
 }
@@ -209,9 +206,7 @@ func referenceVectorPacked(v *Vectorizer, c *GramCounter) []float64 {
 		tf := float64(n) / total
 		out[i] = tf * v.IDF[i]
 	}
-	if v.L2 {
-		normalize(out)
-	}
+	normalize(out)
 	return out
 }
 
@@ -222,24 +217,21 @@ func TestVectorPackedMatchesReference(t *testing.T) {
 	larger, smaller := 0, 0
 	for _, k := range []int{40, 1000} {
 		v := FitPacked(corpus, k)
-		for _, l2 := range []bool{false, true} {
-			v.L2 = l2
-			dst := make([]float64, k)
-			for i := range dst {
-				dst[i] = math.NaN() // reuse must overwrite every slot
+		dst := make([]float64, k)
+		for i := range dst {
+			dst[i] = math.NaN() // reuse must overwrite every slot
+		}
+		for i, c := range append(corpus, NewGramCounter()) {
+			if c.Len() > len(v.Vocab) {
+				larger++
+			} else {
+				smaller++
 			}
-			for i, c := range append(corpus, NewGramCounter()) {
-				if c.Len() > len(v.Vocab) {
-					larger++
-				} else {
-					smaller++
-				}
-				want := referenceVectorPacked(v, c)
-				dst = v.VectorPackedInto(dst, c)
-				for j := range want {
-					if math.Float64bits(dst[j]) != math.Float64bits(want[j]) {
-						t.Fatalf("k=%d l2=%v sample %d slot %d: %v, want %v", k, l2, i, j, dst[j], want[j])
-					}
+			want := referenceVectorPacked(v, c)
+			dst = v.VectorPackedInto(dst, c)
+			for j := range want {
+				if math.Float64bits(dst[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("k=%d sample %d slot %d: %v, want %v", k, i, j, dst[j], want[j])
 				}
 			}
 		}
@@ -266,7 +258,7 @@ func TestVectorPackedEmptyCounter(t *testing.T) {
 func TestRestoreBuildsPackedIndex(t *testing.T) {
 	_, packCorpus := corpusPair(t, 10, 60, []int{2, 3})
 	v := FitPacked(packCorpus, 20)
-	r := Restore(v.Vocab, v.IDF, v.Dim, v.L2)
+	r := Restore(v.Vocab, v.IDF, v.Dim)
 	if !r.PackedReady() {
 		t.Fatal("restored vectorizer with packable vocab should be packed-ready")
 	}
@@ -295,7 +287,7 @@ func TestPackedIndexFallback(t *testing.T) {
 		t.Fatal("oversized label vocab must not be packed-ready")
 	}
 	// A non-canonical entry would pack to another entry's key.
-	if Restore([]string{"1|2", "01|2"}, []float64{1, 1}, 2, false).PackedReady() {
+	if Restore([]string{"1|2", "01|2"}, []float64{1, 1}, 2).PackedReady() {
 		t.Fatal("non-canonical vocab must not be packed-ready")
 	}
 }

@@ -143,8 +143,6 @@ func (v *Vectorizer) VectorSlotsInto(dst []float64, counts []int, total int) []f
 			out[i] = tf * v.IDF[i]
 		}
 	}
-	if v.L2 {
-		normalize(out)
-	}
+	normalize(out)
 	return out
 }

@@ -79,7 +79,7 @@ func sameBits(got, want []float64) int {
 }
 
 // checkSlots counts trace into fresh slots and checks counts, total and
-// vector, L2 on and off, against the oracles.
+// vector against the oracles.
 func checkSlots(t *testing.T, v *Vectorizer, trace, ns []int) {
 	t.Helper()
 	want, wantTotal, grams := referenceSlots(t, v, trace, ns)
@@ -93,19 +93,15 @@ func checkSlots(t *testing.T, v *Vectorizer, trace, ns []int) {
 			t.Fatalf("ns=%v len=%d: slot %d (%s) counts %d, want %d", ns, len(trace), i, v.Vocab[i], got[i], want[i])
 		}
 	}
-	l2 := v.L2
-	defer func() { v.L2 = l2 }()
-	for _, v.L2 = range []bool{false, true} {
-		wantVec := v.Vector(grams)
-		if packs(trace, ns) {
-			c := NewGramCounter()
-			c.AddTrace(trace, ns)
-			wantVec = v.VectorPackedInto(nil, c)
-		}
-		vec := v.VectorSlotsInto(nanFilled(v.Dim), got, total)
-		if i := sameBits(vec, wantVec); i >= 0 {
-			t.Fatalf("ns=%v len=%d l2=%v: slot %d is %v, want %v", ns, len(trace), v.L2, i, vec[i], wantVec[i])
-		}
+	wantVec := v.Vector(grams)
+	if packs(trace, ns) {
+		c := NewGramCounter()
+		c.AddTrace(trace, ns)
+		wantVec = v.VectorPackedInto(nil, c)
+	}
+	vec := v.VectorSlotsInto(nanFilled(v.Dim), got, total)
+	if i := sameBits(vec, wantVec); i >= 0 {
+		t.Fatalf("ns=%v len=%d: slot %d is %v, want %v", ns, len(trace), i, vec[i], wantVec[i])
 	}
 }
 
@@ -172,7 +168,7 @@ func TestSlotCountsMatchReference(t *testing.T) {
 
 	// A vocabulary holding the largest packable label, and 1-grams.
 	top := MaxPackedLabel
-	v := Restore([]string{Key([]int{top}), Key([]int{top, 0}), Key([]int{0, top, 1}), "0|1"}, []float64{0.5, 1.5, 2.5, 3.5}, 6, false)
+	v := Restore([]string{Key([]int{top}), Key([]int{top, 0}), Key([]int{0, top, 1}), "0|1"}, []float64{0.5, 1.5, 2.5, 3.5}, 6)
 	if !v.PackedReady() {
 		t.Fatal("vocabulary at MaxPackedLabel must pack")
 	}
@@ -187,7 +183,6 @@ func TestSlotCountsMatchReference(t *testing.T) {
 func TestSlotCountsAggregate(t *testing.T) {
 	_, corpus := corpusPair(t, 30, 80, []int{2, 3, 4})
 	v := FitPacked(corpus, 60)
-	v.L2 = true
 	rng := rand.New(rand.NewSource(23))
 	ns := []int{2, 3, 4}
 	agg := NewGramCounter()
@@ -225,10 +220,10 @@ func TestSlotCountsAggregate(t *testing.T) {
 func TestSlotTableRejectsRepeatedEntries(t *testing.T) {
 	// Two slots cannot share one packed key; such a vocabulary is
 	// served by the string path.
-	if Restore([]string{"1|2", "3|4", "1|2"}, []float64{1, 1, 1}, 3, false).PackedReady() {
+	if Restore([]string{"1|2", "3|4", "1|2"}, []float64{1, 1, 1}, 3).PackedReady() {
 		t.Fatal("a repeated vocabulary entry must disable packed lookups")
 	}
-	v := Restore([]string{"1|2", "3|4"}, []float64{1, 1}, 3, false)
+	v := Restore([]string{"1|2", "3|4"}, []float64{1, 1}, 3)
 	if !v.PackedReady() {
 		t.Fatal("distinct entries must pack")
 	}
@@ -261,7 +256,6 @@ func TestSlotTableSizing(t *testing.T) {
 func TestCountSlotsZeroAllocs(t *testing.T) {
 	_, corpus := corpusPair(t, 20, 200, []int{2, 3, 4})
 	v := FitPacked(corpus, 128)
-	v.L2 = true
 	trace := make([]int, 2215) // one 5·|V|-step walk of a 443-node CFG
 	rng := rand.New(rand.NewSource(5))
 	for i := range trace {

@@ -140,19 +140,19 @@ func TestAdminAPIErrors(t *testing.T) {
 	if rec := do(t, h, "POST", "/models", short); rec.Code != http.StatusBadRequest {
 		t.Fatalf("POST model with a short IDF list = %d, want 400", rec.Code)
 	}
-	// A model trained with the deleted per-walk detector would score
-	// the served walk-aggregated rows and answer wrongly; it is refused.
-	var pw map[string]any
-	if err := json.Unmarshal(saved2, &pw); err != nil {
+	// A model of the retired format version 1 is refused; the caller
+	// must retrain it.
+	var v1 map[string]any
+	if err := json.Unmarshal(saved2, &v1); err != nil {
 		t.Fatal(err)
 	}
-	pw["options"].(map[string]any)["perWalkDetector"] = true
-	perWalk, err := json.Marshal(pw)
+	v1["version"] = 1
+	old, err := json.Marshal(v1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := do(t, h, "POST", "/models", perWalk); rec.Code != http.StatusBadRequest {
-		t.Fatalf("POST per-walk model = %d, want 400", rec.Code)
+	if rec := do(t, h, "POST", "/models", old); rec.Code != http.StatusBadRequest {
+		t.Fatalf("POST version-1 model = %d, want 400", rec.Code)
 	}
 	if rec := do(t, h, "GET", "/models/"+id1+"/activate", nil); rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET activate = %d, want 405", rec.Code)

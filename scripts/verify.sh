@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full per-PR verification: build, tests, vet, formatting, the
 # allocation and determinism pins at a second core count, the benchmark
-# module's vet and tests, the repo's own nine-analyzer lint pass, and
-# the race detector over every package with concurrency. Mirrors the
-# "Full verify" block in ROADMAP.md.
+# module's vet and tests plus a one-second traced benchmark run, the
+# repo's own nine-analyzer lint pass, and the race detector over every
+# package with concurrency. Mirrors the "Full verify" block in
+# ROADMAP.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,6 +37,25 @@ go vet ./...
 # breaks the benchmark fails verification, not the benchmark run.
 echo "== perfbench module"
 (cd perfbench && go vet ./... && go test ./...)
+
+# Vet and tests compile the benchmark's trace but never load a model
+# this build trained. One traced scan-batch second does: it trains the
+# model (or reuses the one cached in .bench_build/ for this binary),
+# checks a subset of the scan's decisions, RE bit for bit, against
+# per-sample analysis, and replays the inputs through Options() and the
+# packed vocabularies. About a minute when it trains, seconds when the
+# model is cached.
+echo "== perfbench smoke (scan-batch, traced)"
+smoke="$(bash perfbench/run.sh --workload scan-batch --seed 1 --seconds 1 --trace 1 2>&1)" || {
+    echo "$smoke" >&2
+    exit 1
+}
+last="$(tail -n 1 <<<"$smoke")"
+echo "$last"
+if ! grep -q '"correct":true' <<<"$last" || ! grep -Eq '"failed":0[,}]' <<<"$last"; then
+    echo "perfbench smoke: want \"correct\":true and \"failed\":0 on the last line" >&2
+    exit 1
+fi
 
 echo "== gofmt"
 unformatted="$(gofmt -l .)"
